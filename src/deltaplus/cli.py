@@ -32,11 +32,9 @@ from .lawcheck import (
     serialize_report,
 )
 from .rationals import RationalParseError, format_ext, format_unit, parse_ext
-from .tau import UnsupportedPairError, tau, tau_raw_at
+from .tau import tau, tau_raw_at
 from .tconorms import TConormDesc, catalog_tconorm_spec
-from .tconorms import CatalogError as TConormCatalogError
 from .tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
-from .tnorms import CatalogError as TNormCatalogError
 
 EXIT_OK = 0
 EXIT_NOT_TRIANGLE = 1
@@ -258,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliInputError, TNormCatalogError, TConormCatalogError,
-            UnsupportedPairError, ValueError) as exc:
+    # Catalog, parse and unsupported-pair errors are all ValueErrors.
+    except (CliInputError, ValueError) as exc:
         print(f"deltaplus: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

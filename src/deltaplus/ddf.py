@@ -138,17 +138,8 @@ def make_v(p: UnitRat) -> DDF:
 
 
 def leq(f: DDF, g: DDF) -> bool:
-    """Pointwise order, decided exactly on the merged breakpoint set."""
-    probes = sorted(set(f._xs) | set(g._xs))
-    if probes:
-        probes.append(probes[-1] + 1)
-    else:
-        probes.append(Fraction(1))
-    for t in probes:
-        point = ExtRat(t)
-        if f.value_at(point) > g.value_at(point):
-            return False
-    return True
+    """Pointwise order, decided exactly on the merged probe set."""
+    return all(f.value_at(x) <= g.value_at(x) for x in merged_probe_points(f, g))
 
 
 def last_jump_to_one(f: DDF) -> ExtRat:
@@ -213,16 +204,22 @@ def parse_ddf(text: str) -> DDF | PLDDF:
     return DDF(tuple(jumps))
 
 
+def probe_points(cuts: Iterable[Fraction]) -> list[ExtRat]:
+    """0 and the cuts, the midpoints between consecutive ones, and one
+    point beyond the last, in increasing order."""
+    keys = sorted({Fraction(0), *cuts})
+    probes = [keys[0]]
+    for lo, hi in zip(keys, keys[1:]):
+        probes.append((lo + hi) / 2)
+        probes.append(hi)
+    probes.append(keys[-1] + 1)
+    return [ExtRat(t) for t in probes]
+
+
 def merged_probe_points(*fs: DDF) -> list[ExtRat]:
     """Breakpoints of all arguments, their midpoints, and one point beyond.
 
     A convenient exact sampling set: the induced functions are constant
     between consecutive probes.
     """
-    cuts = sorted({Fraction(0)} | {x for f in fs for x in f._xs})
-    probes = [cuts[0]]
-    for lo, hi in zip(cuts, cuts[1:]):
-        probes.append((lo + hi) / 2)
-        probes.append(hi)
-    probes.append(cuts[-1] + 1)
-    return [ExtRat(t) for t in probes]
+    return probe_points(x for f in fs for x in f._xs)

@@ -4,9 +4,13 @@ Seven laws are checked on the triangle operation induced by a catalog
 pair: closure (agreement of the raw and regularized values at every
 corner abscissa), commutativity, associativity, identity, monotonicity,
 and the two embedding homomorphisms (unit steps compose through L,
-constant levels compose through T).  All comparisons are exact canonical
-equality; a failing case always carries a fully serialized witness that
-re-verifies standalone.
+constant levels compose through T).  Each law is one entry of a table:
+how a random case draws its operands, which two sides it compares at
+which abscissae, and the relation that marks a failure (inequality, or
+the wrong order for monotonicity).  :func:`check_law`, the miner and
+:func:`reverify` all read that one entry.  All comparisons are exact
+canonical equality; a failing case always carries a fully serialized
+witness that re-verifies standalone.
 
 The miner interleaves all laws over structured candidates first --
 unit-step and constant-level families, two-step functions straddling the
@@ -28,9 +32,10 @@ conorms are not drawn yet, so ``(nM_hat, plus)`` stays inconclusive.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from operator import gt, ne
 from typing import TYPE_CHECKING
 
 from .classify import classify as _classify_pair
@@ -45,20 +50,10 @@ from .rationals import (
 )
 from .tau import probe_abscissae, tau, tau_raw_at
 from .tconorms import TConormDesc
-from .tnorms import TNormDesc
+from .tnorms import TNormDesc, _random_unit
 
 if TYPE_CHECKING:
     from .ramps import PLDDF
-
-LAWS = (
-    "closure",
-    "commutativity",
-    "associativity",
-    "identity",
-    "monotonicity",
-    "embedding_eps",
-    "embedding_V",
-)
 
 
 @dataclass(frozen=True)
@@ -164,155 +159,123 @@ def _random_ddf(cfg: RandomDDFConfig, rng: random.Random) -> DDF:
 
 
 def _random_ext(rng: random.Random, cfg: RandomDDFConfig) -> ExtRat:
+    # Unlike the conorm checkers' sampler: no endpoint pool, a tenth at infinity.
     if rng.random() < 0.1:
         return EXT_INF
     den = rng.randint(1, cfg.abscissa_pool)
     return ExtRat(Fraction(rng.randint(0, 4 * den), den))
 
 
-def _random_unit(rng: random.Random, cfg: RandomDDFConfig) -> UnitRat:
-    den = rng.randint(1, cfg.value_pool)
-    return UnitRat(Fraction(rng.randint(0, den), den))
-
-
 def _pointwise_max(f: DDF, g: DDF) -> DDF:
     return canonicalize(f.jumps + g.jumps)
 
 
-def _first_difference(
-    lhs: DDF, rhs: DDF
-) -> tuple[ExtRat, UnitRat, UnitRat] | None:
-    for x in merged_probe_points(lhs, rhs):
-        a, b = lhs.value_at(x), rhs.value_at(x)
-        if a != b:
-            return x, a, b
+# ---- the law table -------------------------------------------------------------
+#
+# Each law is ``(draw, sides, violated)``.  ``draw(t, l, cfg, rng)`` makes
+# the operands of one random case; a witness records them as they are.
+# ``sides(t, l, *operands)`` lazily yields comparisons ``(lhs, rhs,
+# probes, detail)``: two functions of the abscissa and the abscissae where
+# they must agree.  ``violated(lhs(x), rhs(x))`` marks a failure.
+
+
+def _draw_ddfs(count: int):
+    def draw(t, l, cfg: RandomDDFConfig, rng: random.Random) -> tuple[DDF, ...]:
+        return tuple(_random_ddf(cfg, rng) for _ in range(count))
+
+    return draw
+
+
+def _draw_ordered(t, l, cfg: RandomDDFConfig, rng: random.Random) -> tuple[DDF, ...]:
+    # (lo, hi, g) with hi dominating lo pointwise by construction.
+    lo = _random_ddf(cfg, rng)
+    return lo, _pointwise_max(lo, _random_ddf(cfg, rng)), _random_ddf(cfg, rng)
+
+
+def _draw_unit_steps(t, l, cfg: RandomDDFConfig, rng: random.Random) -> tuple[DDF, ...]:
+    u, v = _random_ext(rng, cfg), _random_ext(rng, cfg)
+    return make_epsilon(u), make_epsilon(v), make_epsilon(l(u, v))
+
+
+def _draw_levels(t, l, cfg: RandomDDFConfig, rng: random.Random) -> tuple[DDF, ...]:
+    p, q = _random_unit(rng, cfg.value_pool), _random_unit(rng, cfg.value_pool)
+    return make_v(p), make_v(q), make_v(t(p, q))
+
+
+def _compare(lhs: DDF, rhs: DDF, detail: str):
+    return lhs.value_at, rhs.value_at, merged_probe_points(lhs, rhs), detail
+
+
+def _closure(t, l, f, g):
+    yield (
+        tau(t, l, f, g).value_at,
+        lambda x: tau_raw_at(t, l, f, g, x),
+        probe_abscissae(l, f, g),
+        "regularized vs raw value",
+    )
+
+
+def _commutativity(t, l, f, g):
+    yield _compare(tau(t, l, f, g), tau(t, l, g, f), "tau(f,g) vs tau(g,f)")
+
+
+def _associativity(t, l, f, g, h):
+    yield _compare(
+        tau(t, l, tau(t, l, f, g), h),
+        tau(t, l, f, tau(t, l, g, h)),
+        "tau(tau(f,g),h) vs tau(f,tau(g,h))",
+    )
+
+
+def _identity(t, l, f):
+    yield _compare(tau(t, l, f, make_epsilon(EXT_ZERO)), f, "tau(f, unit step at 0) vs f")
+
+
+def _monotonicity(t, l, lo, hi, g):
+    # The outputs must stay ordered in each operand slot.
+    yield _compare(tau(t, l, lo, g), tau(t, l, hi, g), "tau(lo,g) above tau(hi,g)")
+    yield _compare(tau(t, l, g, lo), tau(t, l, g, hi), "tau(g,lo) above tau(g,hi)")
+
+
+def _embedding(detail: str):
+    def sides(t, l, f, g, expected):
+        yield _compare(tau(t, l, f, g), expected, detail)
+
+    return sides
+
+
+_LAW_TABLE = {
+    "closure": (_draw_ddfs(2), _closure, ne),
+    "commutativity": (_draw_ddfs(2), _commutativity, ne),
+    "associativity": (_draw_ddfs(3), _associativity, ne),
+    "identity": (_draw_ddfs(1), _identity, ne),
+    "monotonicity": (_draw_ordered, _monotonicity, gt),
+    "embedding_eps": (
+        _draw_unit_steps, _embedding("unit steps must compose through the conorm"), ne
+    ),
+    "embedding_V": (
+        _draw_levels, _embedding("constant levels must compose through the t-norm"), ne
+    ),
+}
+LAWS = tuple(_LAW_TABLE)
+
+
+def _law(law: str):
+    try:
+        return _LAW_TABLE[law]
+    except KeyError:
+        raise ValueError(f"unknown law {law!r}; valid laws: {', '.join(LAWS)}") from None
+
+
+def _case(t: TNormDesc, l: TConormDesc, law: str, operands: tuple) -> LawWitness | None:
+    """The first probe where one of the law's comparisons is violated."""
+    _, sides, violated = _law(law)
+    for lhs, rhs, probes, detail in sides(t, l, *operands):
+        for x in probes:
+            a, b = lhs(x), rhs(x)
+            if violated(a, b):
+                return LawWitness(law, operands, x, a, b, detail)
     return None
-
-
-def _case_closure(t, l, f: DDF, g: DDF) -> LawWitness | None:
-    h = tau(t, l, f, g)
-    for x in probe_abscissae(l, f, g):
-        reg = h.value_at(x)
-        raw = tau_raw_at(t, l, f, g, x)
-        if reg != raw:
-            return LawWitness(
-                "closure", (f, g), x, reg, raw, "regularized vs raw value"
-            )
-    return None
-
-
-def _case_commutativity(t, l, f: DDF, g: DDF) -> LawWitness | None:
-    diff = _first_difference(tau(t, l, f, g), tau(t, l, g, f))
-    if diff:
-        x, a, b = diff
-        return LawWitness("commutativity", (f, g), x, a, b, "tau(f,g) vs tau(g,f)")
-    return None
-
-
-def _case_associativity(t, l, f: DDF, g: DDF, h: DDF) -> LawWitness | None:
-    left = tau(t, l, tau(t, l, f, g), h)
-    right = tau(t, l, f, tau(t, l, g, h))
-    diff = _first_difference(left, right)
-    if diff:
-        x, a, b = diff
-        return LawWitness(
-            "associativity", (f, g, h), x, a, b, "tau(tau(f,g),h) vs tau(f,tau(g,h))"
-        )
-    return None
-
-
-def _case_identity(t, l, f: DDF) -> LawWitness | None:
-    diff = _first_difference(tau(t, l, f, make_epsilon(EXT_ZERO)), f)
-    if diff:
-        x, a, b = diff
-        return LawWitness(
-            "identity", (f,), x, a, b, "tau(f, unit step at 0) vs f"
-        )
-    return None
-
-
-def _case_monotonicity(t, l, lo: DDF, hi: DDF, g: DDF) -> LawWitness | None:
-    # hi dominates lo pointwise by construction; the induced outputs must
-    # stay ordered in each operand slot.
-    left = tau(t, l, lo, g)
-    right = tau(t, l, hi, g)
-    for x in merged_probe_points(left, right):
-        a, b = left.value_at(x), right.value_at(x)
-        if a > b:
-            return LawWitness(
-                "monotonicity", (lo, hi, g), x, a, b, "tau(lo,g) above tau(hi,g)"
-            )
-    left = tau(t, l, g, lo)
-    right = tau(t, l, g, hi)
-    for x in merged_probe_points(left, right):
-        a, b = left.value_at(x), right.value_at(x)
-        if a > b:
-            return LawWitness(
-                "monotonicity", (lo, hi, g), x, a, b, "tau(g,lo) above tau(g,hi)"
-            )
-    return None
-
-
-def _case_embedding_eps(t, l, u: ExtRat, v: ExtRat) -> LawWitness | None:
-    actual = tau(t, l, make_epsilon(u), make_epsilon(v))
-    expected = make_epsilon(l(u, v))
-    diff = _first_difference(actual, expected)
-    if diff:
-        x, a, b = diff
-        return LawWitness(
-            "embedding_eps",
-            (make_epsilon(u), make_epsilon(v), expected),
-            x,
-            a,
-            b,
-            "unit steps must compose through the conorm",
-        )
-    return None
-
-
-def _case_embedding_v(t, l, p: UnitRat, q: UnitRat) -> LawWitness | None:
-    actual = tau(t, l, make_v(p), make_v(q))
-    expected = make_v(t(p, q))
-    diff = _first_difference(actual, expected)
-    if diff:
-        x, a, b = diff
-        return LawWitness(
-            "embedding_V",
-            (make_v(p), make_v(q), expected),
-            x,
-            a,
-            b,
-            "constant levels must compose through the t-norm",
-        )
-    return None
-
-
-def _run_case(
-    t: TNormDesc,
-    l: TConormDesc,
-    law: str,
-    cfg: RandomDDFConfig,
-    rng: random.Random,
-) -> LawWitness | None:
-    if law == "closure":
-        return _case_closure(t, l, _random_ddf(cfg, rng), _random_ddf(cfg, rng))
-    if law == "commutativity":
-        return _case_commutativity(t, l, _random_ddf(cfg, rng), _random_ddf(cfg, rng))
-    if law == "associativity":
-        return _case_associativity(
-            t, l, _random_ddf(cfg, rng), _random_ddf(cfg, rng), _random_ddf(cfg, rng)
-        )
-    if law == "identity":
-        return _case_identity(t, l, _random_ddf(cfg, rng))
-    if law == "monotonicity":
-        lo = _random_ddf(cfg, rng)
-        hi = _pointwise_max(lo, _random_ddf(cfg, rng))
-        return _case_monotonicity(t, l, lo, hi, _random_ddf(cfg, rng))
-    if law == "embedding_eps":
-        return _case_embedding_eps(t, l, _random_ext(rng, cfg), _random_ext(rng, cfg))
-    if law == "embedding_V":
-        return _case_embedding_v(t, l, _random_unit(rng, cfg), _random_unit(rng, cfg))
-    raise ValueError(f"unknown law {law!r}; valid laws: {', '.join(LAWS)}")
 
 
 def check_law(
@@ -324,11 +287,10 @@ def check_law(
     seed: int,
 ) -> LawReport:
     """Run ``budget`` randomized cases of one law; exact equality only."""
-    if law not in LAWS:
-        raise ValueError(f"unknown law {law!r}; valid laws: {', '.join(LAWS)}")
+    draw = _law(law)[0]
     rng = random.Random(seed)
     for case in range(budget):
-        witness = _run_case(t, l, law, cfg, rng)
+        witness = _case(t, l, law, draw(t, l, cfg, rng))
         if witness is not None:
             return LawReport(
                 t.name, l.spec, law, "fail", case + 1, budget, seed, cfg, witness
@@ -344,11 +306,10 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
     values on the last linear piece left of x.
     """
     x = witness.x
-    ops = witness.operands
     if witness.split is not None:
         from . import ramps
 
-        f, g = ops
+        f, g = witness.operands
         u, v = witness.split
         reg = ramps.regularized_by_extrapolation(t, l, f, g, x)
         return (
@@ -356,30 +317,10 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
             and t(f.value_at(u), g.value_at(v)) == witness.rhs
             and reg == witness.lhs != witness.rhs
         )
-    if witness.law == "closure":
-        f, g = ops
-        return tau(t, l, f, g).value_at(x) != tau_raw_at(t, l, f, g, x)
-    if witness.law == "commutativity":
-        f, g = ops
-        return tau(t, l, f, g).value_at(x) != tau(t, l, g, f).value_at(x)
-    if witness.law == "associativity":
-        f, g, h = ops
-        left = tau(t, l, tau(t, l, f, g), h)
-        right = tau(t, l, f, tau(t, l, g, h))
-        return left.value_at(x) != right.value_at(x)
-    if witness.law == "identity":
-        (f,) = ops
-        return tau(t, l, f, make_epsilon(EXT_ZERO)).value_at(x) != f.value_at(x)
-    if witness.law == "monotonicity":
-        lo, hi, g = ops
-        return (
-            tau(t, l, lo, g).value_at(x) > tau(t, l, hi, g).value_at(x)
-            or tau(t, l, g, lo).value_at(x) > tau(t, l, g, hi).value_at(x)
-        )
-    if witness.law in ("embedding_eps", "embedding_V"):
-        f, g, expected = ops
-        return tau(t, l, f, g).value_at(x) != expected.value_at(x)
-    raise ValueError(f"unknown law {witness.law!r}")
+    _, sides, violated = _law(witness.law)
+    return any(
+        violated(lhs(x), rhs(x)) for lhs, rhs, _, _ in sides(t, l, *witness.operands)
+    )
 
 
 def _staircase(a: Fraction, top: Fraction, steps: int) -> DDF:
@@ -466,36 +407,28 @@ def mine_counterexample(
     cases = 0
     seeds = _structured_candidates(t, l)
 
-    def finish(witness: LawWitness | None) -> LawReport | None:
-        if witness is None:
-            return None
+    def finish(witness: LawWitness) -> LawReport:
         return LawReport(
             t.name, l.spec, witness.law, "fail", cases, budget, seed, cfg, witness
         )
 
-    # Structured phase: all candidate pairs through the cheap laws, plus
-    # embeddings on the candidate parameters.
-    for f in seeds:
-        for g in seeds:
-            if cases >= budget:
-                break
-            cases += 1
-            report = finish(_case_closure(t, l, f, g)) or finish(
-                _case_commutativity(t, l, f, g)
-            )
-            if report is None and (found := _case_identity(t, l, f)) is not None:
-                report = finish(found)
-            if report is not None:
-                return report
+    # Structured phase: all candidate pairs through the cheap laws, then
+    # through associativity with their pointwise maximum as third operand.
+    for f, g in product(seeds, repeat=2):
         if cases >= budget:
             break
-    for f in seeds:
-        for g in seeds:
-            if cases >= budget:
-                break
-            cases += 1
-            if (found := _case_associativity(t, l, f, g, _pointwise_max(f, g))) is not None:
+        cases += 1
+        for law, operands in (
+            ("closure", (f, g)), ("commutativity", (f, g)), ("identity", (f,))
+        ):
+            if (found := _case(t, l, law, operands)) is not None:
                 return finish(found)
+    for f, g in product(seeds, repeat=2):
+        if cases >= budget:
+            break
+        cases += 1
+        if (found := _case(t, l, "associativity", (f, g, _pointwise_max(f, g)))) is not None:
+            return finish(found)
 
     # Structured ramp phase: closure on pairs of ramps.  The ramps module
     # is imported on first use, which keeps the package's own import light.
@@ -517,19 +450,14 @@ def mine_counterexample(
 
     # Random drift, laws in a fixed rotation, jump counts escalating.
     escalation = (1, 2, cfg.max_jumps, cfg.max_jumps + 2, cfg.max_jumps + 4)
-    law_cycle = LAWS
     while cases < budget:
-        for law in law_cycle:
+        for law, (draw, _, _) in _LAW_TABLE.items():
             if cases >= budget:
                 break
-            jumps = escalation[(cases // len(law_cycle)) % len(escalation)]
-            round_cfg = RandomDDFConfig(
-                max_jumps=max(jumps, 1),
-                abscissa_pool=cfg.abscissa_pool,
-                value_pool=cfg.value_pool,
-            )
+            jumps = escalation[(cases // len(LAWS)) % len(escalation)]
+            round_cfg = replace(cfg, max_jumps=max(jumps, 1))
             cases += 1
-            if (found := _run_case(t, l, law, round_cfg, rng)) is not None:
+            if (found := _case(t, l, law, draw(t, l, round_cfg, rng))) is not None:
                 return finish(found)
 
     classification = _classify_pair(t, l, budget=400, seed=0)

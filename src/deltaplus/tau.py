@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ddf import DDF, EPS_INF, canonicalize, last_jump_to_one
+from .ddf import DDF, EPS_INF, canonicalize, last_jump_to_one, probe_points
 from .rationals import (
     EXT_INF,
     EXT_ZERO,
@@ -54,15 +54,13 @@ class UnsupportedPairError(ValueError):
 class RectangleGrid:
     """Finite carrier for the supremum: band cut points and cell values.
 
-    ``values_f[i]`` is f's constant value on ]cuts_f[i], cuts_f[i+1]]
-    (the last band is unbounded); ``cell_values[i][j] = T(f_i, g_j)``.
+    ``cell_values[i][j] = T(f_i, g_j)``, where f_i is f's constant value
+    on the band ]cuts_f[i], cuts_f[i+1]] (the last band is unbounded).
     Cell (i, j) has closed lower corner (cuts_f[i], cuts_g[j]).
     """
 
     cuts_f: tuple[ExtRat, ...]
     cuts_g: tuple[ExtRat, ...]
-    values_f: tuple[UnitRat, ...]
-    values_g: tuple[UnitRat, ...]
     cell_values: tuple[tuple[UnitRat, ...], ...]
 
 
@@ -80,7 +78,7 @@ def build_grid(t: TNormDesc, f: DDF, g: DDF) -> RectangleGrid:
     cells = tuple(
         tuple(t(fv, gv) for gv in values_g) for fv in values_f
     )
-    return RectangleGrid(cuts_f, cuts_g, values_f, values_g, cells)
+    return RectangleGrid(cuts_f, cuts_g, cells)
 
 
 def _require_supported(l: TConormDesc) -> None:
@@ -115,12 +113,11 @@ def tau(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF) -> DDF:
 
 
 def corner_images(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
-    """Sorted finite images of the grid's lower corners under L."""
-    if l.name == "drastic":
-        cuts_f, _ = _band_decomposition(f)
-        cuts_g, _ = _band_decomposition(g)
-        images = {b for b in cuts_g} | {a for a in cuts_f}
-        return sorted(images, key=lambda e: e.finite)
+    """Sorted finite images of the grid's lower corners under L.
+
+    Every cut list starts at 0, so under the drastic conorm these are the
+    cuts of both operands.
+    """
     cuts_f, _ = _band_decomposition(f)
     cuts_g, _ = _band_decomposition(g)
     images = set()
@@ -134,14 +131,7 @@ def corner_images(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
 
 def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
     """Corner images, midpoints between consecutive ones, and one beyond."""
-    corners = corner_images(l, f, g)
-    keys = sorted({c.finite for c in corners} | {Fraction(0)})
-    probes = [keys[0]]
-    for lo, hi in zip(keys, keys[1:]):
-        probes.append((lo + hi) / 2)
-        probes.append(hi)
-    probes.append(keys[-1] + 1)
-    return [ExtRat(q) for q in probes]
+    return probe_points(c.finite for c in corner_images(l, f, g))
 
 
 def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitRat:

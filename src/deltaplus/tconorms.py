@@ -35,13 +35,9 @@ from .rationals import (
     ext_max,
     ext_min,
 )
-from .verdicts import Verdict, Witness2D
+from .verdicts import CatalogError, Verdict, Witness2D
 
 TConormFn = Callable[[ExtRat, ExtRat], ExtRat]
-
-
-class CatalogError(ValueError):
-    """Unknown catalog name or invalid parameter."""
 
 
 def squash(t: ExtRat) -> Fraction:
@@ -326,14 +322,13 @@ def _strictness_quadruples(l: TConormDesc, rng: random.Random, budget: int):
             yield (u, v, u_hi, v_hi)
 
 
-def check_LCS(l: TConormDesc, budget: int, seed: int) -> Verdict:
-    """Search for u<u', v<v' with L(u',v') finite and L(u,v) = L(u',v')."""
+def _equal_corners(l: TConormDesc, budget: int, seed: int, finite_only: bool) -> Verdict:
     rng = random.Random(seed)
     cases = 0
     for u, v, u_hi, v_hi in _strictness_quadruples(l, rng, budget):
         cases += 1
         hi = l(u_hi, v_hi)
-        if hi.is_infinite:
+        if finite_only and hi.is_infinite:
             continue
         lo = l(u, v)
         if lo == hi:
@@ -341,16 +336,14 @@ def check_LCS(l: TConormDesc, budget: int, seed: int) -> Verdict:
     return Verdict(True, cases)
 
 
+def check_LCS(l: TConormDesc, budget: int, seed: int) -> Verdict:
+    """Search for u<u', v<v' with L(u',v') finite and L(u,v) = L(u',v')."""
+    return _equal_corners(l, budget, seed, finite_only=True)
+
+
 def check_LS(l: TConormDesc, budget: int, seed: int) -> Verdict:
     """Search for u<u', v<v' with L(u,v) = L(u',v') (finite or not)."""
-    rng = random.Random(seed)
-    cases = 0
-    for u, v, u_hi, v_hi in _strictness_quadruples(l, rng, budget):
-        cases += 1
-        lo, hi = l(u, v), l(u_hi, v_hi)
-        if lo == hi:
-            return Verdict(False, cases, LCSWitness(u, u_hi, v, v_hi, lo, hi))
-    return Verdict(True, cases)
+    return _equal_corners(l, budget, seed, finite_only=False)
 
 
 def idempotents(l: TConormDesc, grid: set[ExtRat] | frozenset[ExtRat]) -> set[ExtRat]:

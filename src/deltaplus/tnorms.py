@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .rationals import UNIT_ONE, UNIT_ZERO, UnitRat
-from .verdicts import Verdict, Witness2D
+from .verdicts import CatalogError, Verdict, Witness2D
 
 TNormFn = Callable[[UnitRat, UnitRat], UnitRat]
 # The line alpha*a + beta*b = gamma, as (alpha, beta, gamma).
@@ -38,10 +38,6 @@ TOP_EDGE: Curve = (0, 1, 1)
 
 REFINE_DEPTH = 20
 _GAP_FLOOR = Fraction(1, 2**REFINE_DEPTH)
-
-
-class CatalogError(ValueError):
-    """Unknown catalog name."""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
-"""Outcome types shared by the predicate and axiom checkers."""
+"""Outcome and error types shared by the catalogs and their checkers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+
+class CatalogError(ValueError):
+    """Unknown catalog name or bad catalog parameter."""
 
 
 @dataclass(frozen=True)
