@@ -10,7 +10,8 @@ which abscissae, and the relation that marks a failure (inequality, or
 the wrong order for monotonicity).  :func:`check_law`, the miner and
 :func:`reverify` all read that one entry.  All comparisons are exact
 canonical equality; a failing case always carries a fully serialized
-witness that re-verifies standalone.
+witness that re-verifies standalone.  A closure case takes both of its
+sides and its probes from one grid (:func:`deltaplus.tau.closure_profile`).
 
 The miner interleaves all laws over structured candidates first --
 unit-step and constant-level families, two-step functions straddling the
@@ -48,7 +49,7 @@ from .rationals import (
     format_ext,
     format_unit,
 )
-from .tau import probe_abscissae, tau, tau_raw_at
+from .tau import closure_profile, tau
 from .tconorms import TConormDesc
 from .tnorms import TNormDesc, _random_unit
 
@@ -207,12 +208,8 @@ def _compare(lhs: DDF, rhs: DDF, detail: str):
 
 
 def _closure(t, l, f, g):
-    yield (
-        tau(t, l, f, g).value_at,
-        lambda x: tau_raw_at(t, l, f, g, x),
-        probe_abscissae(l, f, g),
-        "regularized vs raw value",
-    )
+    regularized, raw_at, probes = closure_profile(t, l, f, g)
+    yield regularized.value_at, raw_at, probes, "regularized vs raw value"
 
 
 def _commutativity(t, l, f, g):
@@ -307,6 +304,10 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
     """
     x = witness.x
     if witness.split is not None:
+        # Both values are fixed by definition at 0 and at infinity, so no
+        # closure gap can sit there.
+        if x == EXT_ZERO or x.is_infinite:
+            return False
         from . import ramps
 
         f, g = witness.operands
@@ -414,13 +415,17 @@ def mine_counterexample(
 
     # Structured phase: all candidate pairs through the cheap laws, then
     # through associativity with their pointwise maximum as third operand.
+    # Identity needs f alone, so it runs at f's first pair only.
+    identity_done: set[DDF] = set()
     for f, g in product(seeds, repeat=2):
         if cases >= budget:
             break
         cases += 1
-        for law, operands in (
-            ("closure", (f, g)), ("commutativity", (f, g)), ("identity", (f,))
-        ):
+        checks = [("closure", (f, g)), ("commutativity", (f, g))]
+        if f not in identity_done:
+            identity_done.add(f)
+            checks.append(("identity", (f,)))
+        for law, operands in checks:
             if (found := _case(t, l, law, operands)) is not None:
                 return finish(found)
     for f, g in product(seeds, repeat=2):

@@ -21,6 +21,13 @@ when a plateau touches the corner with room to move in both coordinates
 (the truncated ordinal sum does this); descriptors carry an exact
 predicate for the latter.
 
+:func:`tau_raw_at` evaluates the raw value at one point from a grid of
+its own.  :func:`closure_profile` serves the closure law: it builds one
+grid, takes L at every lower corner once, and returns the regularized
+operation, a raw evaluator for every x and the probe abscissae, all read
+from that one corner matrix.  :func:`tau` takes L only at the corners of
+nonzero cells, which is cheaper when it is the only result wanted.
+
 The drastic conorm is the one catalog entry the corner rule cannot serve
 (it is discontinuous off the axes); a dedicated branch handles it: every
 cell off the axes maps to infinity, and on the axes one argument is zero,
@@ -30,8 +37,10 @@ so the regularized output collapses to the step at infinity.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .ddf import DDF, EPS_INF, canonicalize, last_jump_to_one, probe_points
 from .rationals import (
@@ -65,11 +74,13 @@ class RectangleGrid:
 
 
 def _band_decomposition(f: DDF) -> tuple[tuple[ExtRat, ...], tuple[UnitRat, ...]]:
-    cuts = [EXT_ZERO]
-    cuts.extend(x for x in f.breakpoints if x > EXT_ZERO)
-    values = [f.value_at(cuts[i + 1]) for i in range(len(cuts) - 1)]
-    values.append(f.value_at(ExtRat(cuts[-1].finite + 1)))
-    return tuple(cuts), tuple(values)
+    # Each band starts at a jump and carries that jump's value; a band
+    # from 0 at level 0 comes first unless f jumps at 0.
+    cuts = tuple(x for x, _ in f.jumps)
+    values = tuple(p for _, p in f.jumps)
+    if cuts and cuts[0] == EXT_ZERO:
+        return cuts, values
+    return (EXT_ZERO, *cuts), (UNIT_ZERO, *values)
 
 
 def build_grid(t: TNormDesc, f: DDF, g: DDF) -> RectangleGrid:
@@ -92,7 +103,11 @@ def _require_supported(l: TConormDesc) -> None:
 
 
 def tau(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF) -> DDF:
-    """The regularized triangle operation, exact on step functions."""
+    """The regularized triangle operation, exact on step functions.
+
+    L is taken only at the lower corners of cells with a nonzero value;
+    :func:`closure_profile` gives the same result with the raw values.
+    """
     _require_supported(l)
     if l.name == "drastic":
         # Off the axes L is infinite; on the axes one factor evaluates to
@@ -178,6 +193,60 @@ def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitR
                 ):
                     best = value
     return best
+
+
+def closure_profile(
+    t: TNormDesc, l: TConormDesc, f: DDF, g: DDF
+) -> tuple[DDF, Callable[[ExtRat], UnitRat], list[ExtRat]]:
+    """``(tau(t, l, f, g), raw evaluator, probe_abscissae(l, f, g))`` from
+    one grid and one image under L of all its lower corners.
+
+    The raw evaluator agrees with :func:`tau_raw_at` everywhere.  The upper
+    corner of cell (i, j) is the lower corner of cell (i+1, j+1), or
+    infinity past the last band, so no further L call is needed; the raw
+    value at x is the largest cell value whose cell reaches x, found by
+    scanning the nonzero cells in order of decreasing value.
+    """
+    _require_supported(l)
+    if l.name == "drastic":
+        return EPS_INF, partial(tau_raw_at, t, l, f, g), probe_abscissae(l, f, g)
+    grid = build_grid(t, f, g)
+    cuts_f, cuts_g = grid.cuts_f, grid.cuts_g
+    corners = [[l(a, b) for b in cuts_g] for a in cuts_f]
+    nf, ng = len(cuts_f), len(cuts_g)
+    attained = l.cell_inf_attained
+    jumps = []
+    # (value, lo, hi, lo reached) per nonzero cell with a finite lower
+    # corner: lo and hi are L at the lower and upper corners, hi None when
+    # infinite, and "lo reached" says whether L attains lo on the cell.
+    cells = []
+    for i, a in enumerate(cuts_f):
+        row = grid.cell_values[i]
+        for j, b in enumerate(cuts_g):
+            value, lo = row[j], corners[i][j]
+            if value == UNIT_ZERO or lo.is_infinite:
+                continue
+            jumps.append((lo, value))
+            a_hi = cuts_f[i + 1] if i + 1 < nf else EXT_INF
+            b_hi = cuts_g[j + 1] if j + 1 < ng else EXT_INF
+            hi = corners[i + 1][j + 1] if i + 1 < nf and j + 1 < ng else EXT_INF
+            at_lo = hi == lo or (attained is not None and attained(a, b, a_hi, b_hi))
+            cells.append((value, lo.finite, hi.finite, at_lo))
+    cells.sort(key=lambda cell: cell[0].value, reverse=True)
+
+    def raw_at(x: ExtRat) -> UnitRat:
+        if x.is_infinite:
+            return UNIT_ONE
+        s = x.finite
+        if s == 0:
+            return UNIT_ZERO
+        for value, lo, hi, at_lo in cells:
+            if lo < s and (hi is None or s <= hi) or (s == lo and at_lo):
+                return value
+        return UNIT_ZERO
+
+    images = {c.finite for row in corners for c in row if not c.is_infinite}
+    return canonicalize(jumps), raw_at, probe_points(images)
 
 
 def tau_d_closed_form(f: DDF, g: DDF) -> DDF:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from deltaplus.ddf import parse_ddf
 from deltaplus.lawcheck import (
     LAWS,
     RandomDDFConfig,
+    _case,
     check_law,
     mine_counterexample,
     random_ddf,
@@ -127,6 +129,34 @@ def test_check_law_failure_carries_reverifying_witness():
     assert reverify(t, l, report.witness)
     replay = check_law(t, l, "closure", CFG, 500, 42)
     assert serialize_report(replay) == serialize_report(report)
+
+
+@pytest.mark.parametrize("spec", ["plus", "max", "osum_trunc:2", "drastic"])
+def test_one_closure_case_builds_one_grid(spec, monkeypatch):
+    # The package exports the function tau under the submodule's name.
+    tau_module = sys.modules["deltaplus.tau"]
+    calls = {"build_grid": 0, "tau_raw_at": 0}
+
+    def counted(name):
+        original = getattr(tau_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(tau_module, name, wrapper)
+
+    counted("build_grid")
+    counted("tau_raw_at")
+    t, l = _pair("M", spec)
+    f, g = random_ddf(CFG, 3), random_ddf(CFG, 4)
+    _case(t, l, "closure", (f, g))
+    if spec == "drastic":
+        # Under the drastic conorm no grid is built; raw values come from
+        # the axes.
+        assert calls["build_grid"] == 0 and calls["tau_raw_at"] > 0
+    else:
+        assert calls == {"build_grid": 1, "tau_raw_at": 0}
 
 
 def test_monotonicity_law_passes_across_catalog_samples():

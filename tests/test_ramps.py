@@ -18,7 +18,7 @@ from deltaplus.ramps import (
     closure_values,
     regularized_by_extrapolation,
 )
-from deltaplus.rationals import UnitRat, ext, unit
+from deltaplus.rationals import EXT_INF, UnitRat, ext, unit
 from deltaplus.tau import UnsupportedPairError
 from deltaplus.tconorms import catalog_tconorm_spec
 from deltaplus.tnorms import TNORM_NAMES, catalog_tnorm
@@ -129,6 +129,15 @@ def test_reverify_rejects_altered_ramp_witnesses():
         LawWitness("closure", (f, f), ext(2), unit(0), unit(1), "", (ext(2), ext(2))),
     ):
         assert not reverify(t, MAX, bad)
+
+
+def test_reverify_rejects_ramp_witnesses_at_zero_and_infinity():
+    t = catalog_tnorm("D")
+    f = ramp(1, 1)
+    at_zero = LawWitness("closure", (f, f), ext(0), unit(1), unit(0), "", (ext(0), ext(0)))
+    at_inf = LawWitness("closure", (f, f), EXT_INF, unit(1), unit(0), "", (EXT_INF, ext(0)))
+    assert not reverify(t, MAX, at_zero)
+    assert not reverify(t, MAX, at_inf)
 
 
 def test_ramp_witness_records_carry_the_split_and_v2_operands():

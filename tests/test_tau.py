@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from deltaplus.ddf import DDF, EPS_INF, canonicalize, leq, make_epsilon, make_v
-from deltaplus.lawcheck import RandomDDFConfig, _random_ddf
-from deltaplus.rationals import EXT_INF, EXT_ZERO, UNIT_ONE, UNIT_ZERO, ext, unit
+from deltaplus.lawcheck import RandomDDFConfig, _random_ddf, _structured_candidates
+from deltaplus.rationals import EXT_INF, EXT_ZERO, UNIT_ONE, UNIT_ZERO, UnitRat, ext, unit
 from deltaplus.tau import (
+    RectangleGrid,
     UnsupportedPairError,
     build_grid,
+    closure_profile,
     corner_images,
     grid_oracle_tau_at,
     level_split_witness,
@@ -18,7 +20,7 @@ from deltaplus.tau import (
     tau_raw_at,
 )
 from deltaplus.tconorms import TConormDesc, catalog_tconorm, catalog_tconorm_spec
-from deltaplus.tnorms import TNORM_NAMES, catalog_tnorm
+from deltaplus.tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
 SEED = 424242
 CFG = RandomDDFConfig(max_jumps=5, abscissa_pool=8, value_pool=8)
@@ -214,3 +216,47 @@ def test_corner_images_cover_output_jumps():
         images = set(corner_images(l, f, g))
         h = tau(t, l, f, g)
         assert all(x in images for x, _ in h.jumps)
+
+
+def _grid_by_evaluation(t, f, g):
+    # The band values read off f itself at each band's right end.
+    def bands(h):
+        cuts = [EXT_ZERO, *(x for x in h.breakpoints if x > EXT_ZERO)]
+        ends = [*cuts[1:], ext(cuts[-1].finite + 1)]
+        return tuple(cuts), [h.value_at(x) for x in ends]
+
+    cuts_f, values_f = bands(f)
+    cuts_g, values_g = bands(g)
+    cells = tuple(tuple(t(a, b) for b in values_g) for a in values_f)
+    return RectangleGrid(cuts_f, cuts_g, cells)
+
+
+def test_grid_bands_match_pointwise_evaluation():
+    rng = random.Random(SEED)
+    for t, _ in _pairs(rng, 200):
+        f, g = _random_ddf(CFG, rng), _random_ddf(CFG, rng)
+        assert build_grid(t, f, g) == _grid_by_evaluation(t, f, g)
+
+
+# Order-reversing in both arguments: grid values fall along rows and
+# columns, so a cell whose upper corner lies below x can hold the largest
+# value below x.  Monotone grids never test the upper corner this way.
+REVERSING = TNormDesc(
+    "rev", lambda x, y: UnitRat((1 - x.value) * (1 - y.value)), None
+)
+
+
+@pytest.mark.parametrize("spec", CONORM_SPECS)
+def test_closure_profile_matches_tau_raw_and_probes(spec):
+    rng = random.Random(SEED)
+    l = catalog_tconorm_spec(spec)
+    for t in [*map(catalog_tnorm, TNORM_NAMES), REVERSING]:
+        seeds = _structured_candidates(t, l)
+        operands = [(_random_ddf(CFG, rng), _random_ddf(CFG, rng)) for _ in range(25)]
+        operands += [(rng.choice(seeds), rng.choice(seeds)) for _ in range(25)]
+        for f, g in operands:
+            regularized, raw_at, probes = closure_profile(t, l, f, g)
+            assert regularized == tau(t, l, f, g)
+            assert probes == probe_abscissae(l, f, g)
+            for x in [*probes, ext(Fraction(rng.randint(0, 40), rng.randint(1, 8))), EXT_INF]:
+                assert raw_at(x) == tau_raw_at(t, l, f, g, x)
