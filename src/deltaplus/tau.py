@@ -21,17 +21,19 @@ when a plateau touches the corner with room to move in both coordinates
 (the truncated ordinal sum does this); descriptors carry an exact
 predicate for the latter.
 
-:func:`tau_raw_at` evaluates the raw value at one point from a grid of
-its own.  :func:`closure_profile` serves the closure law: it builds one
-grid, takes L at every lower corner once, and returns the regularized
+:func:`closure_profile` is the one raw evaluator: it builds one grid,
+takes L at every lower corner once, and returns the regularized
 operation, a raw evaluator for every x and the probe abscissae, all read
-from that one corner matrix.  :func:`tau` takes L only at the corners of
-nonzero cells, which is cheaper when it is the only result wanted.
+from that one corner matrix.  :func:`tau_raw_at`, :func:`corner_images`
+and :func:`probe_abscissae` read the same corner matrix.  :func:`tau`
+takes L only at the corners of nonzero cells, which is cheaper when it is
+the only result wanted.
 
 The drastic conorm is the one catalog entry the corner rule cannot serve
 (it is discontinuous off the axes); a dedicated branch handles it: every
 cell off the axes maps to infinity, and on the axes one argument is zero,
-so the regularized output collapses to the step at infinity.
+so the regularized output collapses to the step at infinity, and the raw
+value at a finite x comes from the axes alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .ddf import DDF, EPS_INF, canonicalize, last_jump_to_one, probe_points
 from .rationals import (
@@ -127,21 +128,24 @@ def tau(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF) -> DDF:
     return canonicalize(jumps)
 
 
+def _corner_matrix(l: TConormDesc, f: DDF, g: DDF) -> list[list[ExtRat]]:
+    # L at the closed lower corner of every cell, one row per band of f.
+    cuts_f, _ = _band_decomposition(f)
+    cuts_g, _ = _band_decomposition(g)
+    return [[l(a, b) for b in cuts_g] for a in cuts_f]
+
+
+def _finite_images(corners: list[list[ExtRat]]) -> set[ExtRat]:
+    return {c for row in corners for c in row if not c.is_infinite}
+
+
 def corner_images(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
     """Sorted finite images of the grid's lower corners under L.
 
     Every cut list starts at 0, so under the drastic conorm these are the
     cuts of both operands.
     """
-    cuts_f, _ = _band_decomposition(f)
-    cuts_g, _ = _band_decomposition(g)
-    images = set()
-    for a in cuts_f:
-        for b in cuts_g:
-            c = l(a, b)
-            if not c.is_infinite:
-                images.add(c)
-    return sorted(images, key=lambda e: e.finite)
+    return sorted(_finite_images(_corner_matrix(l, f, g)), key=lambda e: e.finite)
 
 
 def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
@@ -150,49 +154,9 @@ def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
 
 
 def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitRat:
-    """The definitional supremum over { L(u,v) = x }, evaluated exactly.
-
-    A cell contributes when x lies in the image of L over the half-open
-    cell: always for x in ]m, M] with m, M the closed-corner values, and
-    at x = m exactly when L is constant on the cell or its plateau enters
-    the cell interior.
-    """
-    _require_supported(l)
-    if x.is_infinite:
-        return UNIT_ONE
-    if x == EXT_ZERO:
-        return UNIT_ZERO
-    if l.name == "drastic":
-        # L(u, v) = x finite forces one coordinate to 0 and the other to x.
-        return max(
-            t(f.value_at(x), g.value_at(EXT_ZERO)),
-            t(f.value_at(EXT_ZERO), g.value_at(x)),
-            key=lambda p: p.value,
-        )
-    grid = build_grid(t, f, g)
-    nf, ng = len(grid.cuts_f), len(grid.cuts_g)
-    best = UNIT_ZERO
-    for i, a in enumerate(grid.cuts_f):
-        a_hi = grid.cuts_f[i + 1] if i + 1 < nf else EXT_INF
-        row = grid.cell_values[i]
-        for j, b in enumerate(grid.cuts_g):
-            value = row[j]
-            if value.value <= best.value:
-                continue
-            b_hi = grid.cuts_g[j + 1] if j + 1 < ng else EXT_INF
-            m = l(a, b)
-            if m < x:
-                hi = l(a_hi, b_hi)
-                if x <= hi:
-                    best = value
-            elif m == x:
-                if l(a_hi, b_hi) == m:
-                    best = value
-                elif l.cell_inf_attained is not None and l.cell_inf_attained(
-                    a, b, a_hi, b_hi
-                ):
-                    best = value
-    return best
+    """The definitional supremum over { L(u,v) = x }, evaluated exactly by
+    the raw evaluator of :func:`closure_profile`."""
+    return closure_profile(t, l, f, g)[1](x)
 
 
 def closure_profile(
@@ -201,18 +165,35 @@ def closure_profile(
     """``(tau(t, l, f, g), raw evaluator, probe_abscissae(l, f, g))`` from
     one grid and one image under L of all its lower corners.
 
-    The raw evaluator agrees with :func:`tau_raw_at` everywhere.  The upper
-    corner of cell (i, j) is the lower corner of cell (i+1, j+1), or
-    infinity past the last band, so no further L call is needed; the raw
-    value at x is the largest cell value whose cell reaches x, found by
-    scanning the nonzero cells in order of decreasing value.
+    The raw evaluator gives the definitional supremum over { L(u,v) = x }.
+    A cell contributes when x lies in the image of L over the half-open
+    cell: always for x in ]lo, hi] with lo, hi the images of its closed
+    lower and upper corners, and at x = lo exactly when L is constant on
+    the cell or its plateau enters the cell interior.  The upper corner of
+    cell (i, j) is the lower corner of cell (i+1, j+1), or infinity past
+    the last band, so no further L call is needed; the raw value at x is
+    the largest cell value whose cell reaches x, found by scanning the
+    nonzero cells in order of decreasing value.
     """
     _require_supported(l)
+    corners = _corner_matrix(l, f, g)
+    probes = probe_points(c.finite for c in _finite_images(corners))
     if l.name == "drastic":
-        return EPS_INF, partial(tau_raw_at, t, l, f, g), probe_abscissae(l, f, g)
+        # L(u, v) = x finite forces one coordinate to 0 and the other to x.
+        def drastic_raw_at(x: ExtRat) -> UnitRat:
+            if x.is_infinite:
+                return UNIT_ONE
+            if x == EXT_ZERO:
+                return UNIT_ZERO
+            return max(
+                t(f.value_at(x), g.value_at(EXT_ZERO)),
+                t(f.value_at(EXT_ZERO), g.value_at(x)),
+                key=lambda p: p.value,
+            )
+
+        return EPS_INF, drastic_raw_at, probes
     grid = build_grid(t, f, g)
     cuts_f, cuts_g = grid.cuts_f, grid.cuts_g
-    corners = [[l(a, b) for b in cuts_g] for a in cuts_f]
     nf, ng = len(cuts_f), len(cuts_g)
     attained = l.cell_inf_attained
     jumps = []
@@ -245,8 +226,7 @@ def closure_profile(
                 return value
         return UNIT_ZERO
 
-    images = {c.finite for row in corners for c in row if not c.is_infinite}
-    return canonicalize(jumps), raw_at, probe_points(images)
+    return canonicalize(jumps), raw_at, probes
 
 
 def tau_d_closed_form(f: DDF, g: DDF) -> DDF:
@@ -281,18 +261,18 @@ def level_split_witness(
     if x.is_infinite:
         return EXT_INF, EXT_INF
     grid = build_grid(t, f, g)
+    corners = _corner_matrix(l, f, g)
     nf = len(grid.cuts_f)
-    best: tuple[UnitRat, ExtRat, ExtRat, ExtRat] | None = None
+    best: tuple[UnitRat, ExtRat, ExtRat, ExtRat, ExtRat] | None = None
     for i, a in enumerate(grid.cuts_f):
         a_hi = grid.cuts_f[i + 1] if i + 1 < nf else EXT_INF
         row = grid.cell_values[i]
         for j, b in enumerate(grid.cuts_g):
-            corner = l(a, b)
+            corner = corners[i][j]
             if corner < y and (best is None or row[j].value > best[0].value):
-                best = (row[j], a, b, a_hi)
+                best = (row[j], a, b, a_hi, corner)
     assert best is not None  # the (0, 0) corner is always below y
-    _, a, b, a_hi = best
-    m = l(a, b)
+    _, a, b, a_hi, m = best
     width = None if a_hi.is_infinite else a_hi.finite - a.finite
     delta = (x.finite - m.finite) / 2
     if width is not None and width < delta * 2:

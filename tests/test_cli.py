@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from deltaplus.cli import main
@@ -35,6 +37,26 @@ def test_tau_at_prints_both_values(capsys, eps1):
     )
     assert code == 0
     assert out == "regularized 0  raw 0\n"
+
+
+def test_tau_at_builds_one_grid(capsys, monkeypatch, two_step):
+    # The package exports the function tau under the submodule's name.
+    tau_module = sys.modules["deltaplus.tau"]
+    build_grid = tau_module.build_grid
+    grids = []
+
+    def counted(*args):
+        grids.append(args)
+        return build_grid(*args)
+
+    monkeypatch.setattr(tau_module, "build_grid", counted)
+    code, out, _ = run(
+        capsys, "tau", "--tnorm", "M", "--conorm", "plus",
+        "--f", two_step, "--g", two_step, "--at", "3",
+    )
+    assert code == 0
+    assert out == "regularized 1/2  raw 1/2\n"
+    assert len(grids) == 1
 
 
 def test_tau_emit_points(capsys, eps1, two_step):
