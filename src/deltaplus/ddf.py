@@ -14,9 +14,12 @@ Jumps carry the value *after* the abscissa, so left continuity is a
 structural property of the encoding rather than a checked one.  The empty
 jump list denotes the function that is zero at every finite point.
 
-The piecewise-linear members live in :mod:`deltaplus.ramps`; the text
-format is shared: ``DDF v1`` holds ``jump`` lines only, ``DDF v2`` adds
-``ramp`` lines and is read and written there.
+This module also owns the ``.ddf`` text format for both carriers.  A
+``DDF v1`` file holds ``jump <x> <p>`` lines only and reads as a step
+function.  A ``DDF v2`` file adds ``ramp <x0> <x1> <p>`` lines, which rise
+linearly from the level just after x0 to p at x1, and reads as a
+piecewise-linear :class:`deltaplus.ramps.PLDDF`.  One line loop reads
+both versions.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .rationals import (
     EXT_INF,
+    EXT_ZERO,
     UNIT_ONE,
     UNIT_ZERO,
     ExtRat,
@@ -150,58 +154,98 @@ def last_jump_to_one(f: DDF) -> ExtRat:
 
 
 def serialize(f: DDF | PLDDF) -> str:
-    """``DDF v1`` text for a step function, ``DDF v2`` for one with ramps."""
-    if not isinstance(f, DDF):
-        # The ramps module is imported on first use, which keeps the
-        # package's own import light.
-        from .ramps import serialize_v2
-
-        return serialize_v2(f)
-    lines = ["DDF v1"]
-    lines.extend(f"jump {format_ext(x)} {format_unit(p)}" for x, p in f.jumps)
+    """``DDF v1`` text for a step function: one ``jump`` line per jump.
+    ``DDF v2`` text for one with ramps: one ``ramp`` line per rising
+    piece, one ``jump`` line per jump."""
+    if isinstance(f, DDF):
+        lines = ["DDF v1"]
+        lines.extend(f"jump {format_ext(x)} {format_unit(p)}" for x, p in f.jumps)
+        return "\n".join(lines) + "\n"
+    lines = ["DDF v2"]
+    prev_x, level = EXT_ZERO, UNIT_ZERO
+    for x, lo, hi in f.knots:
+        if lo.value > level.value:
+            lines.append(f"ramp {format_ext(prev_x)} {format_ext(x)} {format_unit(lo)}")
+        if hi.value > lo.value:
+            lines.append(f"jump {format_ext(x)} {format_unit(hi)}")
+        prev_x, level = x, hi
     return "\n".join(lines) + "\n"
+
+
+# Per header: the fields of each line kind, and the grammar for messages.
+_GRAMMARS = {
+    "DDF v1": ({"jump": 3}, "'jump <x> <p>'"),
+    "DDF v2": ({"jump": 3, "ramp": 4}, "'jump <x> <p>' or 'ramp <x0> <x1> <p>'"),
+}
 
 
 def parse_ddf(text: str) -> DDF | PLDDF:
     """Parse the line-oriented ``.ddf`` format, validating canonical shape.
 
-    ``DDF v1`` text gives a :class:`DDF`, ``DDF v2`` text a
+    ``DDF v1`` text holds ``jump`` lines only and gives a :class:`DDF`;
+    ``DDF v2`` text needs a ``ramp`` line and gives a
     :class:`deltaplus.ramps.PLDDF`.
     """
     lines = text.splitlines()
     header = lines[0].strip() if lines else ""
-    if header == "DDF v2":
-        from .ramps import parse_v2
-
-        return parse_v2(lines)
-    if header != "DDF v1":
+    if header not in _GRAMMARS:
         raise DdfParseError(1, "expected header 'DDF v1' or 'DDF v2'")
-    jumps: list[Jump] = []
-    last_x: Fraction | None = None
-    last_p = Fraction(0)
+    fields, grammar = _GRAMMARS[header]
+    # knots as [x, f(x), f(x+)]; ``slope`` is the last ramp's slope, None
+    # before the first ramp.
+    knots: list[list] = []
+    end_x, level = Fraction(0), UNIT_ZERO
+    last: str | None = None
+    slope: Fraction | None = None
     for line_no, line in enumerate(lines[1:], start=2):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
         parts = body.split()
-        if parts[0] != "jump" or len(parts) != 3:
-            raise DdfParseError(line_no, f"expected 'jump <x> <p>', got {body!r}")
+        kind = parts[0]
+        if fields.get(kind) != len(parts):
+            raise DdfParseError(line_no, f"expected {grammar}, got {body!r}")
         try:
-            x = parse_ext(parts[1])
-            p = parse_unit(parts[2])
+            xs = [parse_ext(part) for part in parts[1:-1]]
+            p = parse_unit(parts[-1])
         except RationalParseError as exc:
             raise DdfParseError(line_no, str(exc)) from exc
-        if x.is_infinite:
-            raise DdfParseError(line_no, "jump abscissa must be finite")
-        if last_x is not None and x.finite <= last_x:
+        if any(x.is_infinite for x in xs):
+            raise DdfParseError(line_no, f"{kind} abscissa must be finite")
+        x0 = xs[0].finite
+        if x0 < end_x or (x0 == end_x and last == kind == "jump"):
             raise DdfParseError(line_no, f"abscissa {parts[1]} does not increase")
-        if p.value <= last_p:
+        if p.value <= level.value:
             raise DdfParseError(
-                line_no, f"value {parts[2]} does not increase (values must be positive)"
+                line_no, f"value {parts[-1]} does not increase (values must be positive)"
             )
-        jumps.append((x, p))
-        last_x, last_p = x.finite, p.value
-    return DDF(tuple(jumps))
+        if kind == "ramp":
+            x1 = xs[1].finite
+            if x1 <= x0:
+                raise DdfParseError(line_no, f"ramp end {parts[2]} is not beyond its start")
+            rise = (p.value - level.value) / (x1 - x0)
+            if x0 == end_x and last == "ramp" and rise == slope:
+                raise DdfParseError(
+                    line_no, "ramp continues the previous one at the same slope; merge them"
+                )
+            slope = rise
+        # A ramp from 0 needs no knot at its start: f(0) = 0 always.
+        if (kind == "jump" or x0 > 0) and not (knots and knots[-1][0].finite == x0):
+            knots.append([xs[0], level, level])
+        if kind == "jump":
+            knots[-1][2] = p
+        else:
+            knots.append([xs[1], p, p])
+        end_x, level, last = xs[-1].finite, p, kind
+    if header == "DDF v1":
+        return DDF(tuple((x, hi) for x, _, hi in knots))
+    if slope is None:
+        raise DdfParseError(1, "a DDF v2 file needs a ramp line; write step functions as DDF v1")
+    # The ramps module is imported on first use, which keeps the package's
+    # own import light.
+    from .ramps import PLDDF
+
+    return PLDDF(tuple(tuple(knot) for knot in knots))
 
 
 def probe_points(cuts: Iterable[Fraction]) -> list[ExtRat]:

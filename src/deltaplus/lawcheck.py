@@ -288,6 +288,8 @@ def check_law(
 ) -> LawReport:
     """Run ``budget`` randomized cases of one law; exact equality only."""
     draw = _law(law)[0]
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
     for case in range(budget):
         witness = _case(t, l, law, draw(t, l, cfg, rng))
@@ -365,17 +367,10 @@ def _structured_candidates(t: TNormDesc, l: TConormDesc) -> list[DDF]:
     candidates.extend(make_epsilon(ExtRat(a)) for a in sorted(abscissae))
     candidates.extend(make_v(UnitRat(p)) for p in sorted(levels) if 0 < p <= 1)
     # Two-step functions whose value pairs straddle the t-norm's curves.
-    pairs = [
-        (Fraction(1, 2), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(7, 16)),
-        (Fraction(1, 4), Fraction(3, 4)),
-        (Fraction(3, 8), Fraction(5, 8)),
-    ]
-    for lo, hi in pairs:
-        if lo < hi:
-            candidates.append(
-                DDF(((ExtRat(Fraction(1)), UnitRat(lo)), (ExtRat(Fraction(2)), UnitRat(hi))))
-            )
+    for lo, hi in ((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 8), Fraction(5, 8))):
+        candidates.append(
+            DDF(((ExtRat(Fraction(1)), UnitRat(lo)), (ExtRat(Fraction(2)), UnitRat(hi))))
+        )
     # Staircase approximations of ramps reaching level 1/2.
     for a in sorted(caps | {Fraction(1), Fraction(2)}):
         for steps in (4, 8):
@@ -407,6 +402,8 @@ def mine_counterexample(
     """Interleave every law over structured candidates, then closure on
     pairs of ramps where the conorm supports them, then random drift with
     escalating jump counts; first failure wins."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
     cases = 0
     seeds = _structured_candidates(t, l)

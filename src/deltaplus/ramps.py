@@ -1,24 +1,25 @@
 """Piecewise-linear distribution functions and the closure law on them.
 
+This module owns two things: the carrier :class:`PLDDF` and the closure
+law on it under L = max.  Its ``DDF v2`` text is read and written by
+:mod:`deltaplus.ddf`, which owns the ``.ddf`` format for both carriers.
+
 :class:`PLDDF` widens the step-function carrier of :mod:`deltaplus.ddf`
 to rational knots joined by linear pieces, with optional left-continuous
 jumps at the knots.  Step functions are its zero-slope case and stay
 :class:`~deltaplus.ddf.DDF` values, so every rising piece is a genuine
-ramp.  In ``DDF v2`` text a ``ramp <x0> <x1> <p>`` line rises linearly
-from the level just after x0 to p at x1, and a ``jump <x> <p>`` line sets
-the level p just after x.
+ramp.
 
 The closure law is exact here for L = max.  Under the maximum the
 supremum over { max(u, v) = x } is attained at u = v = x, so the raw
 value at x is T(f(x), g(x)); the supremum over { max(u, v) < x } is the
-left limit at x of s -> T(f(s), g(s)).  On the
-last linear piece left of x the pair (f(s), g(s)) runs along a segment
-into (f(x), g(x)).  Where that point lies on none of T's declared
-discontinuity curves the limit is T's value there; on a curve it is T's
-formula on the side the segment comes from, extended to the point.  A
-closure case probes the operands' breakpoints, the midpoints between
-them, one point beyond, and the points where (f(s), g(s)) crosses a
-curve.
+left limit at x of s -> T(f(s), g(s)).  On the last linear piece left of
+x the pair (f(s), g(s)) runs along a segment into (f(x), g(x)).  Where
+that point lies on none of T's declared discontinuity curves the limit
+is T's value there; on a curve it is T's formula on the side the segment
+comes from, extended to the point.  A closure case probes the operands'
+breakpoints, the midpoints between them, one point beyond, and the
+points where (f(s), g(s)) crosses a curve.
 
 :func:`regularized_by_extrapolation` recomputes the regularized value
 along a second path that reads neither the curves nor the formulas, for
@@ -34,19 +35,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ddf import DDF, DdfParseError
-from .rationals import (
-    EXT_ZERO,
-    UNIT_ONE,
-    UNIT_ZERO,
-    ExtRat,
-    RationalParseError,
-    UnitRat,
-    format_ext,
-    format_unit,
-    parse_ext,
-    parse_unit,
-)
+from .ddf import DDF, serialize
+from .rationals import UNIT_ONE, UNIT_ZERO, ExtRat, UnitRat
 from .tau import UnsupportedPairError
 from .tconorms import TConormDesc
 from .tnorms import TNormDesc
@@ -123,81 +113,10 @@ class PLDDF:
         return s0, v0, (self._lo[i] - v0) / (self._xs[i] - s0)
 
     def __str__(self) -> str:
-        return serialize_v2(self)
+        return serialize(self)
 
 
 Operand = DDF | PLDDF
-
-
-def serialize_v2(f: PLDDF) -> str:
-    """``DDF v2`` text: one ``ramp`` line per rising piece, one ``jump``
-    line per jump."""
-    lines = ["DDF v2"]
-    prev_x, level = EXT_ZERO, UNIT_ZERO
-    for x, lo, hi in f.knots:
-        if lo.value > level.value:
-            lines.append(f"ramp {format_ext(prev_x)} {format_ext(x)} {format_unit(lo)}")
-        if hi.value > lo.value:
-            lines.append(f"jump {format_ext(x)} {format_unit(hi)}")
-        prev_x, level = x, hi
-    return "\n".join(lines) + "\n"
-
-
-_V2_FIELDS = {"jump": 3, "ramp": 4}
-
-
-def parse_v2(lines: list[str]) -> PLDDF:
-    """Parse ``DDF v2`` text, split into lines, header first."""
-    # knots as [x, f(x), f(x+)]; ``slope`` is the last ramp's slope, None
-    # before the first ramp.
-    knots: list[list[Fraction]] = []
-    end_x, level = Fraction(0), Fraction(0)
-    last: str | None = None
-    slope: Fraction | None = None
-    for line_no, line in enumerate(lines[1:], start=2):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        parts = body.split()
-        if _V2_FIELDS.get(parts[0]) != len(parts):
-            raise DdfParseError(
-                line_no, f"expected 'jump <x> <p>' or 'ramp <x0> <x1> <p>', got {body!r}"
-            )
-        try:
-            xs = [parse_ext(part) for part in parts[1:-1]]
-            p = parse_unit(parts[-1]).value
-        except RationalParseError as exc:
-            raise DdfParseError(line_no, str(exc)) from exc
-        if any(x.is_infinite for x in xs):
-            raise DdfParseError(line_no, f"{parts[0]} abscissae must be finite")
-        x0 = xs[0].finite
-        if x0 < end_x or (x0 == end_x and last == parts[0] == "jump"):
-            raise DdfParseError(line_no, f"abscissa {parts[1]} does not increase")
-        if p <= level:
-            raise DdfParseError(line_no, f"value {parts[-1]} does not increase")
-        if parts[0] == "jump":
-            if not (knots and knots[-1][0] == x0):
-                knots.append([x0, level, level])
-            knots[-1][2] = p
-            end_x, level, last = x0, p, "jump"
-            continue
-        x1 = xs[1].finite
-        if x1 <= x0:
-            raise DdfParseError(line_no, f"ramp end {parts[2]} is not beyond its start")
-        rise = (p - level) / (x1 - x0)
-        if x0 == end_x and last == "ramp" and rise == slope:
-            raise DdfParseError(
-                line_no, "ramp continues the previous one at the same slope; merge them"
-            )
-        if x0 > 0 and not (knots and knots[-1][0] == x0):
-            knots.append([x0, level, level])
-        knots.append([x1, p, p])
-        end_x, level, last, slope = x1, p, "ramp", rise
-    if slope is None:
-        raise DdfParseError(1, "a DDF v2 file needs a ramp line; write step functions as DDF v1")
-    return PLDDF(
-        tuple((ExtRat(x), UnitRat(lo), UnitRat(hi)) for x, lo, hi in knots)
-    )
 
 
 # Lines on which some catalog t-norm changes formula: a = b, a + b = 1,
@@ -261,18 +180,6 @@ def closure_probes(t: TNormDesc, f: Operand, g: Operand) -> list[ExtRat]:
     return [ExtRat(p) for p in sorted(points)]
 
 
-def _quadratic_at(samples: list[tuple[Fraction, Fraction]], z: Fraction) -> Fraction:
-    # Lagrange form of the polynomial through three samples, evaluated at z.
-    total = Fraction(0)
-    for i, (si, yi) in enumerate(samples):
-        term = yi
-        for j, (sj, _) in enumerate(samples):
-            if j != i:
-                term *= (z - sj) / (si - sj)
-        total += term
-    return total
-
-
 def regularized_by_extrapolation(
     t: TNormDesc, l: TConormDesc, f: Operand, g: Operand, x: ExtRat
 ) -> UnitRat | None:
@@ -304,9 +211,13 @@ def regularized_by_extrapolation(
             root = x.finite - at_x * (x.finite - mid) / (at_x - at_mid)
             if start < root < x.finite:
                 start = root
-    samples = [x.finite - (x.finite - start) * k / 5 for k in (1, 2, 3, 4)]
-    values = [(s, t(*pair(s)).value) for s in samples]
-    if _quadratic_at(values[:3], samples[3]) != values[3][1]:
+    # Samples at x - k*h for k = 1..4: equally spaced, so they lie on one
+    # quadratic exactly when their third difference vanishes, and that
+    # quadratic's value at x (k = 0) is 3*y1 - 3*y2 + y3.
+    y1, y2, y3, y4 = (
+        t(*pair(x.finite - (x.finite - start) * k / 5)).value for k in (1, 2, 3, 4)
+    )
+    if y1 - 3 * y2 + 3 * y3 - y4:
         return None
-    limit = _quadratic_at(values[:3], x.finite)
+    limit = 3 * y1 - 3 * y2 + y3
     return UnitRat(limit) if 0 <= limit <= 1 else None

@@ -137,16 +137,22 @@ def ext_max(a: ExtRat, b: ExtRat) -> ExtRat:
     return a if ext_cmp(a, b) >= 0 else b
 
 
+def _is_digits(text: str) -> bool:
+    # ASCII only: str.isdigit also accepts superscripts and other scripts'
+    # digits, which int() then rejects or reads as decimal digits.
+    return text.isascii() and text.isdigit()
+
+
 def _parse_fraction(text: str) -> Fraction:
     body = text.strip()
     if "/" in body:
         num_text, _, den_text = body.partition("/")
-        if not (num_text.isdigit() and den_text.isdigit()):
+        if not (_is_digits(num_text) and _is_digits(den_text)):
             raise RationalParseError(f"malformed rational literal: {text!r}")
         if int(den_text) == 0:
             raise RationalParseError(f"zero denominator in literal: {text!r}")
         return Fraction(int(num_text), int(den_text))
-    if not body.isdigit():
+    if not _is_digits(body):
         raise RationalParseError(f"malformed rational literal: {text!r}")
     return Fraction(int(body))
 

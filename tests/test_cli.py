@@ -1,7 +1,10 @@
+import os
+import subprocess
 import sys
 
 import pytest
 
+import deltaplus
 from deltaplus.cli import main
 
 
@@ -136,6 +139,12 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64 and "unknown t-norm" in err
     code, _, err = run(capsys, "classify", "--tnorm", "M", "--conorm", "osum_trunc:-1")
     assert code == 64
+    for command, budget in (("check", "0"), ("check", "-3"), ("mine", "0")):
+        law = ["--law", "closure"] if command == "check" else []
+        code, out, err = run(
+            capsys, command, "--tnorm", "M", "--conorm", "plus", *law, "--budget", budget
+        )
+        assert code == 64 and out == "" and "budget must be >= 1" in err
     with pytest.raises(SystemExit) as exit_info:
         main(["frobnicate"])
     assert exit_info.value.code == 64
@@ -154,6 +163,26 @@ def test_catalog_lists_all_families(capsys):
         and "strictly_increasing=no" in l
         for l in lines
     )
+
+
+def test_step_functions_never_import_ramps(eps1):
+    # Importing the ramps module eagerly costs measurable start-up time, so
+    # v1 parsing, v1 serializing and the tau command must not load it.
+    script = (
+        "import sys, deltaplus\n"
+        "from deltaplus.cli import main\n"
+        f"f = deltaplus.parse_ddf(open({eps1!r}).read())\n"
+        "deltaplus.serialize(f)\n"
+        "args = ['tau', '--tnorm', 'M', '--conorm', 'plus']\n"
+        f"assert main(args + ['--f', {eps1!r}, '--g', {eps1!r}]) == 0\n"
+        "print('deltaplus.ramps' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(deltaplus.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_tau_refuses_ramp_files(capsys, tmp_path, eps1):

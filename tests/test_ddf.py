@@ -130,6 +130,8 @@ def test_serialize_round_trip(pairs):
         ("DDF v1\njump inf 1", 2),
         ("DDF v1\njump 1/0 1", 2),
         ("DDF v1\nleap 1 1", 2),
+        ("DDF v1\nramp 0 1 1/2", 2),
+        ("DDF v1\njump ² 1", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -184,6 +186,7 @@ def test_step_functions_keep_serializing_as_v1():
         ("DDF v2\nramp 0 inf 1\n", 2),
         ("DDF v2\nramp 0 1 3/2\n", 2),
         ("DDF v2\nramp 0 1 x\n", 2),
+        ("DDF v2\nramp 0 ² 1", 2),
         ("DDF v2\n# note\nramp 0 1 1/2\nramp 1/2 2 1\n", 4),
         ("DDF v2\nramp 0 1 1/2\nramp 1 2 1\n", 3),
         ("DDF v2\nramp 0 1 1/2\nramp 1 2 1/2\n", 3),

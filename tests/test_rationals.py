@@ -45,6 +45,10 @@ def test_parse_examples():
         parse_ext("-3")
     with pytest.raises(RationalParseError):
         parse_unit("5/4")
+    # Only ASCII digits: str.isdigit accepts these too.
+    for literal in ("²", "١", "1/²"):
+        with pytest.raises(RationalParseError):
+            parse_ext(literal)
 
 
 def test_formatting_is_lowest_terms():
