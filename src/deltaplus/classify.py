@@ -101,32 +101,21 @@ def classify(
         )
     )
 
-    conorm_axioms = check_tconorm_axioms(l, budget, seed)
-    _cross_check("a_tconorm", l.declared.is_tconorm, conorm_axioms)
-    evidence.append(
-        ConditionEvidence("a_tconorm", conorm_axioms.passed, "checker", conorm_axioms)
+    # Conditions a checker decides: (tag, declared flag, checker verdict).
+    d = t.declared
+    checked = (
+        ("a_tconorm", l.declared.is_tconorm, check_tconorm_axioms(l, budget, seed)),
+        ("a_LCS", l.declared.satisfies_lcs, check_LCS(l, budget, seed)),
+        (
+            "b_tnorm",
+            d.is_commutative and d.is_associative and d.has_one_identity and d.is_monotone,
+            check_tnorm_axioms(t, budget, seed),
+        ),
+        ("c_weak_left", d.is_weakly_left_continuous, check_weak_left_continuity(t, budget, seed)),
     )
-
-    lcs = check_LCS(l, budget, seed)
-    _cross_check("a_LCS", l.declared.satisfies_lcs, lcs)
-    evidence.append(ConditionEvidence("a_LCS", lcs.passed, "checker", lcs))
-
-    tnorm_axioms = check_tnorm_axioms(t, budget, seed)
-    _cross_check(
-        "b_tnorm",
-        t.declared.is_commutative
-        and t.declared.is_associative
-        and t.declared.has_one_identity
-        and t.declared.is_monotone,
-        tnorm_axioms,
-    )
-    evidence.append(
-        ConditionEvidence("b_tnorm", tnorm_axioms.passed, "checker", tnorm_axioms)
-    )
-
-    weak = check_weak_left_continuity(t, budget, seed)
-    _cross_check("c_weak_left", t.declared.is_weakly_left_continuous, weak)
-    evidence.append(ConditionEvidence("c_weak_left", weak.passed, "checker", weak))
+    for tag, declared, verdict in checked:
+        _cross_check(tag, declared, verdict)
+        evidence.append(ConditionEvidence(tag, verdict.passed, "checker", verdict))
 
     archimedean = is_archimedean(l, budget, seed)
     _cross_check("is_archimedean", l.declared.is_archimedean, archimedean)

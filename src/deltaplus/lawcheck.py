@@ -7,27 +7,29 @@ and the two embedding homomorphisms (unit steps compose through L,
 constant levels compose through T).  Each law is one entry of a table:
 how a random case draws its operands, which two sides it compares at
 which abscissae, and the relation that marks a failure (inequality, or
-the wrong order for monotonicity).  :func:`check_law`, the miner and
-:func:`reverify` all read that one entry.  All comparisons are exact
-canonical equality; a failing case always carries a fully serialized
-witness that re-verifies standalone.  A closure case takes both of its
-sides and its probes from one grid (:func:`deltaplus.tau.closure_profile`).
+the wrong order for monotonicity).  All comparisons are exact canonical
+equality; a failing case always carries a fully serialized witness that
+re-verifies standalone.  A closure case on step functions takes its sides
+and probes from one grid (:func:`deltaplus.tau.closure_profile`).
 
-The miner interleaves all laws over structured candidates first --
-unit-step and constant-level families, two-step functions straddling the
-t-norm's discontinuity curves, steps straddling the conorm's idempotents
-and caps, and staircase approximations of linear ramps.  Under the
-maximum it then runs closure on pairs of genuine ramps (see
-:mod:`deltaplus.ramps`): a step function reaches a level only strictly
-after its jump, so it never approaches a discontinuity curve of T from
-below, and the defect of a t-norm that is not left continuous shows only
-on strictly increasing operands.  A ramp witness records the split where
-the raw value is attained, and :func:`reverify` checks it along a second
-path.  Random drift with escalating jump counts comes last.  A miss on a
-pair the classifier rejects is reported as inconclusive, never as a
-pass: the theory guarantees a counterexample among general distribution
-functions, not among the operands this miner draws.  Ramps under other
-conorms are not drawn yet, so ``(nM_hat, plus)`` stays inconclusive.
+:func:`check_law` and the miner each feed one stream of cases, each case
+a list of ``(law, operands)`` checks, through one budgeted loop that
+stops at the first failure.  The miner's stream interleaves all laws over
+structured candidates first -- unit-step and constant-level families,
+two-step functions straddling the t-norm's discontinuity curves, steps
+straddling the conorm's idempotents and caps, and staircase
+approximations of linear ramps.  Under the maximum, closure then runs on
+pairs of genuine ramps (see :mod:`deltaplus.ramps`): a step function
+reaches a level only strictly after its jump, so it never approaches a
+discontinuity curve of T from below, and the defect of a t-norm that is
+not left continuous shows only on strictly increasing operands.  A ramp
+witness records the split where the raw value is attained, and
+:func:`reverify` checks it along a second path.  Random drift with
+escalating jump counts comes last.  A miss on a pair the classifier
+rejects is reported as inconclusive, never as a pass: the theory
+guarantees a counterexample among general distribution functions, not
+among the operands this miner draws.  Ramps under other conorms are not
+drawn yet, so ``(nM_hat, plus)`` stays inconclusive.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import count, cycle, islice, product
 from operator import gt, ne
 from typing import TYPE_CHECKING
 
@@ -175,14 +178,15 @@ def _pointwise_max(f: DDF, g: DDF) -> DDF:
 #
 # Each law is ``(draw, sides, violated)``.  ``draw(t, l, cfg, rng)`` makes
 # the operands of one random case; a witness records them as they are.
-# ``sides(t, l, *operands)`` lazily yields comparisons ``(lhs, rhs,
-# probes, detail)``: two functions of the abscissa and the abscissae where
-# they must agree.  ``violated(lhs(x), rhs(x))`` marks a failure.
+# ``sides(t, l, *operands)`` lazily yields comparisons ``(values, probes,
+# detail)``: ``values(x)`` gives both sides at x, plus the split on ramps,
+# and probes are the abscissae where they must agree.  ``violated(lhs,
+# rhs)`` marks a failure.
 
 
-def _draw_ddfs(count: int):
+def _draw_ddfs(n: int):
     def draw(t, l, cfg: RandomDDFConfig, rng: random.Random) -> tuple[DDF, ...]:
-        return tuple(_random_ddf(cfg, rng) for _ in range(count))
+        return tuple(_random_ddf(cfg, rng) for _ in range(n))
 
     return draw
 
@@ -207,12 +211,20 @@ def _compare(lhs: DDF, rhs: DDF, detail: str):
     # Canonical functions differ somewhere exactly when they differ
     # structurally, so equal sides need no probes.
     probes = merged_probe_points(lhs, rhs) if lhs != rhs else []
-    return lhs.value_at, rhs.value_at, probes, detail
+    return lambda x: (lhs.value_at(x), rhs.value_at(x)), probes, detail
 
 
 def _closure(t, l, f, g):
-    regularized, raw_at, probes = closure_profile(t, l, f, g)
-    yield regularized.value_at, raw_at, probes, "regularized vs raw value"
+    detail = "regularized vs raw value"
+    if isinstance(f, DDF) and isinstance(g, DDF):
+        regularized, raw_at, probes = closure_profile(t, l, f, g)
+        yield lambda x: (regularized.value_at(x), raw_at(x)), probes, detail
+    else:
+        # Imported on first use, which keeps the package's own import light.
+        from . import ramps
+
+        probes = ramps.closure_probes(t, f, g)
+        yield partial(ramps.closure_values, t, l, f, g), probes, detail
 
 
 def _commutativity(t, l, f, g):
@@ -270,12 +282,24 @@ def _law(law: str):
 def _case(t: TNormDesc, l: TConormDesc, law: str, operands: tuple) -> LawWitness | None:
     """The first probe where one of the law's comparisons is violated."""
     _, sides, violated = _law(law)
-    for lhs, rhs, probes, detail in sides(t, l, *operands):
+    for values, probes, detail in sides(t, l, *operands):
         for x in probes:
-            a, b = lhs(x), rhs(x)
+            a, b, *split = values(x)
             if violated(a, b):
-                return LawWitness(law, operands, x, a, b, detail)
+                return LawWitness(law, operands, x, a, b, detail, *split)
     return None
+
+
+def _first_failure(t: TNormDesc, l: TConormDesc, cases, budget: int):
+    """Run the first ``budget`` cases of an endless stream, each a list of
+    ``(law, operands)`` checks; the number of cases run and the first witness."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    for ran, checks in enumerate(islice(cases, budget), 1):
+        for law, operands in checks:
+            if (found := _case(t, l, law, operands)) is not None:
+                return ran, found
+    return ran, None
 
 
 def check_law(
@@ -288,16 +312,11 @@ def check_law(
 ) -> LawReport:
     """Run ``budget`` randomized cases of one law; exact equality only."""
     draw = _law(law)[0]
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
-    for case in range(budget):
-        witness = _case(t, l, law, draw(t, l, cfg, rng))
-        if witness is not None:
-            return LawReport(
-                t.name, l.spec, law, "fail", case + 1, budget, seed, cfg, witness
-            )
-    return LawReport(t.name, l.spec, law, "pass", budget, budget, seed, cfg)
+    cases = ([(law, draw(t, l, cfg, rng))] for _ in count())
+    ran, witness = _first_failure(t, l, cases, budget)
+    verdict = "pass" if witness is None else "fail"
+    return LawReport(t.name, l.spec, law, verdict, ran, budget, seed, cfg, witness)
 
 
 def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
@@ -324,9 +343,7 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
             and reg == witness.lhs != witness.rhs
         )
     _, sides, violated = _law(witness.law)
-    return any(
-        violated(lhs(x), rhs(x)) for lhs, rhs, _, _ in sides(t, l, *witness.operands)
-    )
+    return any(violated(*values(x)[:2]) for values, _, _ in sides(t, l, *witness.operands))
 
 
 def _staircase(a: Fraction, top: Fraction, steps: int) -> DDF:
@@ -392,6 +409,42 @@ def _ramp_candidates(t: TNormDesc, l: TConormDesc) -> list[PLDDF]:
     ]
 
 
+def _mining_cases(t: TNormDesc, l: TConormDesc, cfg: RandomDDFConfig, rng: random.Random):
+    """The miner's case stream, each case a list of ``(law, operands)``."""
+    seeds = _structured_candidates(t, l)
+    # All candidate pairs through the cheap laws, then through
+    # associativity with their pointwise maximum as third operand.
+    # Identity needs f alone, so it runs at f's first pair only.
+    # Commutativity runs only for i < j: with f = g it cannot fail, and the
+    # mirrored pair (g, f) came earlier.
+    identity_done: set[DDF] = set()
+    for (i, f), (j, g) in product(enumerate(seeds), repeat=2):
+        checks = [("closure", (f, g))]
+        if i < j:
+            checks.append(("commutativity", (f, g)))
+        if f not in identity_done:
+            identity_done.add(f)
+            checks.append(("identity", (f,)))
+        yield checks
+    for f, g in product(seeds, repeat=2):
+        yield [("associativity", (f, g, _pointwise_max(f, g)))]
+
+    # Closure on pairs of ramps, where the conorm supports them.
+    from . import ramps
+
+    ramp_seeds = _ramp_candidates(t, l) if ramps.supports(l) else []
+    for f, g in product(ramp_seeds, repeat=2):
+        yield [("closure", (f, g))]
+
+    # Random drift, laws in a fixed rotation, jump counts escalating with
+    # the overall case number.
+    escalation = (1, 2, cfg.max_jumps, cfg.max_jumps + 2, cfg.max_jumps + 4)
+    start = 2 * len(seeds) ** 2 + len(ramp_seeds) ** 2
+    for case, (law, (draw, _, _)) in zip(count(start), cycle(_LAW_TABLE.items())):
+        jumps = escalation[(case // len(LAWS)) % len(escalation)]
+        yield [(law, draw(t, l, replace(cfg, max_jumps=max(jumps, 1)), rng))]
+
+
 def mine_counterexample(
     t: TNormDesc,
     l: TConormDesc,
@@ -402,73 +455,10 @@ def mine_counterexample(
     """Interleave every law over structured candidates, then closure on
     pairs of ramps where the conorm supports them, then random drift with
     escalating jump counts; first failure wins."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
-    cases = 0
-    seeds = _structured_candidates(t, l)
-
-    def finish(witness: LawWitness) -> LawReport:
-        return LawReport(
-            t.name, l.spec, witness.law, "fail", cases, budget, seed, cfg, witness
-        )
-
-    # Structured phase: all candidate pairs through the cheap laws, then
-    # through associativity with their pointwise maximum as third operand.
-    # Identity needs f alone, so it runs at f's first pair only.
-    # Commutativity runs only for i < j: with f = g it cannot fail, and the
-    # mirrored pair (g, f) came earlier.
-    identity_done: set[DDF] = set()
-    for (i, f), (j, g) in product(enumerate(seeds), repeat=2):
-        if cases >= budget:
-            break
-        cases += 1
-        checks = [("closure", (f, g))]
-        if i < j:
-            checks.append(("commutativity", (f, g)))
-        if f not in identity_done:
-            identity_done.add(f)
-            checks.append(("identity", (f,)))
-        for law, operands in checks:
-            if (found := _case(t, l, law, operands)) is not None:
-                return finish(found)
-    for f, g in product(seeds, repeat=2):
-        if cases >= budget:
-            break
-        cases += 1
-        if (found := _case(t, l, "associativity", (f, g, _pointwise_max(f, g)))) is not None:
-            return finish(found)
-
-    # Structured ramp phase: closure on pairs of ramps.  The ramps module
-    # is imported on first use, which keeps the package's own import light.
-    from . import ramps
-
-    if ramps.supports(l):
-        for f, g in product(_ramp_candidates(t, l), repeat=2):
-            if cases >= budget:
-                break
-            cases += 1
-            for x in ramps.closure_probes(t, f, g):
-                reg, raw, split = ramps.closure_values(t, l, f, g, x)
-                if reg != raw:
-                    return finish(
-                        LawWitness(
-                            "closure", (f, g), x, reg, raw, "regularized vs raw value", split
-                        )
-                    )
-
-    # Random drift, laws in a fixed rotation, jump counts escalating.
-    escalation = (1, 2, cfg.max_jumps, cfg.max_jumps + 2, cfg.max_jumps + 4)
-    while cases < budget:
-        for law, (draw, _, _) in _LAW_TABLE.items():
-            if cases >= budget:
-                break
-            jumps = escalation[(cases // len(LAWS)) % len(escalation)]
-            round_cfg = replace(cfg, max_jumps=max(jumps, 1))
-            cases += 1
-            if (found := _case(t, l, law, draw(t, l, round_cfg, rng))) is not None:
-                return finish(found)
-
+    cases = _mining_cases(t, l, cfg, random.Random(seed))
+    ran, witness = _first_failure(t, l, cases, budget)
+    if witness is not None:
+        return LawReport(t.name, l.spec, witness.law, "fail", ran, budget, seed, cfg, witness)
     classification = _classify_pair(t, l, budget=400, seed=0)
     verdict = "pass" if classification.verdict == "Triangle" else "inconclusive"
-    return LawReport(t.name, l.spec, "all", verdict, cases, budget, seed, cfg)
+    return LawReport(t.name, l.spec, "all", verdict, ran, budget, seed, cfg)

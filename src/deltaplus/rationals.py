@@ -143,18 +143,27 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # Past the interpreter's limit on integer string conversion; the
+        # literal itself is too long to echo.
+        raise RationalParseError(f"rational literal too long: {len(digits)} digits") from None
+
+
 def _parse_fraction(text: str) -> Fraction:
     body = text.strip()
     if "/" in body:
         num_text, _, den_text = body.partition("/")
         if not (_is_digits(num_text) and _is_digits(den_text)):
             raise RationalParseError(f"malformed rational literal: {text!r}")
-        if int(den_text) == 0:
+        if _int(den_text) == 0:
             raise RationalParseError(f"zero denominator in literal: {text!r}")
-        return Fraction(int(num_text), int(den_text))
+        return Fraction(_int(num_text), _int(den_text))
     if not _is_digits(body):
         raise RationalParseError(f"malformed rational literal: {text!r}")
-    return Fraction(int(body))
+    return Fraction(_int(body))
 
 
 def parse_ext(text: str) -> ExtRat:

@@ -35,7 +35,7 @@ from .rationals import (
     ext_max,
     ext_min,
 )
-from .verdicts import CatalogError, Verdict, Witness2D
+from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
 TConormFn = Callable[[ExtRat, ExtRat], ExtRat]
 
@@ -277,28 +277,8 @@ def _random_ext(rng: random.Random, pool: list[ExtRat]) -> ExtRat:
 def check_tconorm_axioms(l: TConormDesc, budget: int, seed: int) -> Verdict:
     """Randomized falsification of commutativity, associativity,
     monotonicity, and the identity 0, on samples including the endpoints."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
     pool = _sample_pool(l)
-    for case in range(budget):
-        u = _random_ext(rng, pool)
-        v = _random_ext(rng, pool)
-        w = _random_ext(rng, pool)
-        if l(u, v) != l(v, u):
-            return Verdict(False, case + 1, Witness2D((u, v), "not commutative"))
-        if l(l(u, v), w) != l(u, l(v, w)):
-            return Verdict(
-                False, case + 1, Witness2D((u, v), f"not associative with w={w}")
-            )
-        if l(u, EXT_ZERO) != u or l(EXT_ZERO, u) != u:
-            return Verdict(False, case + 1, Witness2D((u, EXT_ZERO), "0 not identity"))
-        lo, hi = (u, v) if u <= v else (v, u)
-        if l(lo, w) > l(hi, w) or l(w, lo) > l(w, hi):
-            return Verdict(
-                False, case + 1, Witness2D((lo, hi), f"not monotone against w={w}")
-            )
-    return Verdict(True, budget)
+    return check_axioms(l, lambda rng: _random_ext(rng, pool), EXT_ZERO, budget, seed)
 
 
 def _strictness_quadruples(l: TConormDesc, rng: random.Random, budget: int):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .rationals import UNIT_ONE, UNIT_ZERO, UnitRat
-from .verdicts import CatalogError, Verdict, Witness2D
+from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
 TNormFn = Callable[[UnitRat, UnitRat], UnitRat]
 # The line alpha*a + beta*b = gamma, as (alpha, beta, gamma).
@@ -192,27 +192,7 @@ def _random_unit(rng: random.Random, max_den: int = 64, positive: bool = False) 
 def check_tnorm_axioms(t: TNormDesc, budget: int, seed: int) -> Verdict:
     """Randomized falsification of commutativity, associativity,
     monotonicity in each place, and the identity 1."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
-    for case in range(budget):
-        x = _random_unit(rng)
-        y = _random_unit(rng)
-        z = _random_unit(rng)
-        if t(x, y) != t(y, x):
-            return Verdict(False, case + 1, Witness2D((x, y), "not commutative"))
-        if t(t(x, y), z) != t(x, t(y, z)):
-            return Verdict(
-                False, case + 1, Witness2D((x, y), f"not associative with z={z}")
-            )
-        if t(x, UNIT_ONE) != x or t(UNIT_ONE, x) != x:
-            return Verdict(False, case + 1, Witness2D((x, UNIT_ONE), "1 not identity"))
-        lo, hi = (x, y) if x.value <= y.value else (y, x)
-        if t(lo, z) > t(hi, z) or t(z, lo) > t(z, hi):
-            return Verdict(
-                False, case + 1, Witness2D((lo, hi), f"not monotone against z={z}")
-            )
-    return Verdict(True, budget)
+    return check_axioms(t, _random_unit, UNIT_ONE, budget, seed)
 
 
 def _approach_probes(

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 
 class CatalogError(ValueError):
@@ -22,7 +23,6 @@ class Verdict:
     passed: bool
     cases: int
     witness: Any | None = None
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.passed
@@ -34,3 +34,29 @@ class Witness2D:
 
     point: tuple[Any, Any]
     detail: str = ""
+
+
+def check_axioms(
+    op: Callable[[Any, Any], Any],
+    sample: Callable[[random.Random], Any],
+    identity: Any,
+    budget: int,
+    seed: int,
+) -> Verdict:
+    """Randomized falsification of commutativity, associativity, monotonicity
+    in each place and the neutral ``identity``, on triples drawn by ``sample``."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    rng = random.Random(seed)
+    for case in range(1, budget + 1):
+        x, y, z = sample(rng), sample(rng), sample(rng)
+        if op(x, y) != op(y, x):
+            return Verdict(False, case, Witness2D((x, y), "not commutative"))
+        if op(op(x, y), z) != op(x, op(y, z)):
+            return Verdict(False, case, Witness2D((x, y), f"not associative with z={z}"))
+        if op(x, identity) != x or op(identity, x) != x:
+            return Verdict(False, case, Witness2D((x, identity), f"{identity} not identity"))
+        lo, hi = (x, y) if x <= y else (y, x)
+        if op(lo, z) > op(hi, z) or op(z, lo) > op(z, hi):
+            return Verdict(False, case, Witness2D((lo, hi), f"not monotone against z={z}"))
+    return Verdict(True, budget)

@@ -132,6 +132,7 @@ def test_serialize_round_trip(pairs):
         ("DDF v1\nleap 1 1", 2),
         ("DDF v1\nramp 0 1 1/2", 2),
         ("DDF v1\njump ² 1", 2),
+        pytest.param("DDF v1\njump " + "1" * 5000 + " 1", 2, id="v1-5000-digit-literal-2"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

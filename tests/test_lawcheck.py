@@ -266,7 +266,22 @@ witness law=commutativity x=37/16 lhs=1/7 rhs=1/4 detail=tau(f,g) vs tau(g,f)
 operand slot=0 ddf=DDF v1\njump 5/4 4/7\n
 operand slot=1 ddf=DDF v1\njump 0 1/7\njump 1 1/4\njump 9/8 1/3\njump 8/7 3/8\njump 9/4 1/2\njump 3 3/4\njump 22/7 1\n
 """,
-
+    # Random drift: the third drift case, after 1152 structured step cases
+    # and 64 ramp pairs, so it pins where drift starts and the law rotation.
+    ("mine", "sevenths", "max", "all"): r"""
+report tnorm=sevenths tconorm=max law=associativity verdict=fail cases=1219 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=associativity x=9/8 lhs=9/56 rhs=3/28 detail=tau(tau(f,g),h) vs tau(f,tau(g,h))
+operand slot=0 ddf=DDF v1\njump 3/4 3/7\n
+operand slot=1 ddf=DDF v1\njump 5/6 1/3\njump 1 3/8\njump 5/4 3/7\njump 11/6 1/2\njump 2 3/4\njump 3 7/8\njump 4 1\n
+operand slot=2 ddf=DDF v1\njump 1 1/4\njump 11/7 1/2\njump 18/5 5/7\njump 4 1\n
+""",
+    # Ramp pairs: a closure witness with its split and v2 operands.
+    ("mine", "D", "max", "all"): r"""
+report tnorm=D tconorm=max law=closure verdict=fail cases=1362 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=closure x=1 lhs=0 rhs=1/8 u=1 v=1 detail=regularized vs raw value
+operand slot=0 ddf=DDF v2\nramp 0 1 1/8\n
+operand slot=1 ddf=DDF v2\nramp 0 1 1\n
+""",
 }
 
 

@@ -45,8 +45,9 @@ def test_parse_examples():
         parse_ext("-3")
     with pytest.raises(RationalParseError):
         parse_unit("5/4")
-    # Only ASCII digits: str.isdigit accepts these too.
-    for literal in ("²", "١", "1/²"):
+    # Only ASCII digits: str.isdigit accepts these too.  Literals past
+    # int()'s digit limit are refused the same way.
+    for literal in ("²", "١", "1/²", "1" * 5000, "1/" + "1" * 5000):
         with pytest.raises(RationalParseError):
             parse_ext(literal)
 
