@@ -32,7 +32,7 @@ from .lawcheck import (
     serialize_report,
 )
 from .rationals import RationalParseError, format_ext, format_unit, parse_ext
-from .tau import closure_profile, tau
+from .tau import tau, tau_raw_at
 from .tconorms import TConormDesc, catalog_tconorm_spec
 from .tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
@@ -129,8 +129,7 @@ def _cmd_tau(args) -> int:
             x = parse_ext(args.at)
         except RationalParseError as exc:
             raise CliInputError(str(exc)) from exc
-        regularized, raw_at, _ = closure_profile(t, l, f, g)
-        reg, raw = regularized.value_at(x), raw_at(x)
+        reg, raw = tau(t, l, f, g).value_at(x), tau_raw_at(t, l, f, g, x)
         print(f"regularized {format_unit(reg)}  raw {format_unit(raw)}")
         return EXIT_OK
     h = tau(t, l, f, g)

@@ -21,13 +21,17 @@ when a plateau touches the corner with room to move in both coordinates
 (the truncated ordinal sum does this); descriptors carry an exact
 predicate for the latter.
 
-:func:`closure_profile` is the one raw evaluator: it builds one grid,
-takes L at every lower corner once, and returns the regularized
+:func:`closure_profile` is the one full-grid evaluator: it builds one
+grid, takes L at every lower corner once, and returns the regularized
 operation, a raw evaluator for every x and the probe abscissae, all read
-from that one corner matrix.  :func:`tau_raw_at`, :func:`corner_images`
-and :func:`probe_abscissae` read the same corner matrix.  :func:`tau`
-takes L only at the corners of nonzero cells, which is cheaper when it is
-the only result wanted.
+from that one corner matrix.  :func:`tau_raw_at` reads the same grid and
+corner matrix but builds no probes; :func:`corner_images` and
+:func:`probe_abscissae` read the same corner matrix.  :func:`tau` walks
+only the staircase: for a monotone T the values and corner images rise
+along every row of the grid, so a merge of the rows by corner image
+that keeps the running maximum visits only cells that can still raise
+it, and its cost follows the output, not the grid.  For any other T it reads
+the regularized operation off :func:`closure_profile`.
 
 The drastic conorm is the one catalog entry the corner rule cannot serve
 (it is discontinuous off the axes); a dedicated branch handles it: every
@@ -42,6 +46,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .ddf import DDF, EPS_INF, canonicalize, last_jump_to_one, probe_points
 from .rationals import (
@@ -106,25 +111,72 @@ def _require_supported(l: TConormDesc) -> None:
 def tau(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF) -> DDF:
     """The regularized triangle operation, exact on step functions.
 
-    L is taken only at the lower corners of cells with a nonzero value;
-    :func:`closure_profile` gives the same result with the raw values.
+    For a T declared monotone this walks the staircase of corner images.
+    Along every row of the grid both the cell values and the corner
+    images rise, since T is monotone and L a continuous t-conorm.  So a
+    merge of the rows by corner image, keeping the running maximum, need
+    visit only the cells that raise it: a row's pointer moves by a
+    galloping binary search on T to its first cell that beats the
+    maximum, and L is taken only there.  Any other T gets the full grid
+    of :func:`closure_profile`.
     """
     _require_supported(l)
     if l.name == "drastic":
         # Off the axes L is infinite; on the axes one factor evaluates to
         # f(0) = 0 or g(0) = 0, so nothing reaches any finite level.
         return EPS_INF
-    grid = build_grid(t, f, g)
+    if t.declared is None or not t.declared.is_monotone:
+        return closure_profile(t, l, f, g)[0]
+    cuts_f, values_f = _band_decomposition(f)
+    cuts_g, values_g = _band_decomposition(g)
+    m = len(cuts_g)
+    # (corner image, -row, column, corner, value), one entry per live row.
+    # At equal corners the highest row pops first, so that it sets best
+    # before the rows below it in the same column.
+    heap: list[tuple[Fraction, int, int, ExtRat, UnitRat]] = []
+
+    def advance(i: int, j: int, best: Fraction) -> None:
+        # Row i's first column from j on whose value beats best: gallop
+        # ahead to a column that beats it, then bisect back.  A row whose
+        # remaining cells cannot beat best, or whose corner there is
+        # infinite (so are all later ones), leaves the merge.
+        fv = values_f[i]
+        lo, hi, step = j, j, 1
+        while hi < m and (value := t(fv, values_g[hi])).value <= best:
+            lo, hi, step = hi + 1, hi + step, step * 2
+        j = bisect_right(
+            range(m), best, lo=lo, hi=min(hi, m), key=lambda k: t(fv, values_g[k]).value
+        )
+        if j == m:
+            return
+        if j != hi:
+            value = t(fv, values_g[j])
+        corner = l(cuts_f[i], cuts_g[j])
+        if not corner.is_infinite:
+            heappush(heap, (corner.finite, -i, j, corner, value))
+
+    best = Fraction(0)
+    for i in range(len(cuts_f)):
+        advance(i, 0, best)
+    best_i = best_j = -1
     jumps = []
-    for i, a in enumerate(grid.cuts_f):
-        row = grid.cell_values[i]
-        for j, b in enumerate(grid.cuts_g):
-            value = row[j]
-            if value == UNIT_ZERO:
-                continue
-            corner = l(a, b)
-            if not corner.is_infinite:
-                jumps.append((corner, value))
+    while heap:
+        _, i, j, corner, value = heappop(heap)
+        i = -i
+        if value.value > best:
+            jumps.append((corner, value))
+            best, best_i, best_j = value.value, i, j
+        elif best_i > i and best_j == j:
+            # The cell that set best lies higher in this column.  It
+            # popped first, so its corner is no larger than this one, and
+            # L is monotone, so the two are equal.  L(a, b) = L(a', b)
+            # gives L(a, b') = L(a', b') for every b' > b (continuity
+            # writes b' = L(b, d), then associativity), so the higher row
+            # meets every later corner of this row with a value at least
+            # as large: this row is done.
+            continue
+        advance(i, j + 1, best)
+    # Cells tied at one corner may each emit; canonicalize keeps the largest.
     return canonicalize(jumps)
 
 
@@ -155,8 +207,9 @@ def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
 
 def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitRat:
     """The definitional supremum over { L(u,v) = x }, evaluated exactly by
-    the raw evaluator of :func:`closure_profile`."""
-    return closure_profile(t, l, f, g)[1](x)
+    the raw evaluator of :func:`closure_profile`, without its probes."""
+    _require_supported(l)
+    return _grid_profile(t, l, f, g, _corner_matrix(l, f, g))[1](x)
 
 
 def closure_profile(
@@ -177,7 +230,16 @@ def closure_profile(
     """
     _require_supported(l)
     corners = _corner_matrix(l, f, g)
+    jumps, raw_at = _grid_profile(t, l, f, g, corners)
     probes = probe_points(c.finite for c in _finite_images(corners))
+    return canonicalize(jumps), raw_at, probes
+
+
+def _grid_profile(
+    t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, corners: list[list[ExtRat]]
+) -> tuple[list[tuple[ExtRat, UnitRat]], Callable[[ExtRat], UnitRat]]:
+    # The corner jump of every nonzero cell with a finite lower corner, and
+    # the raw evaluator of closure_profile, from one grid.
     if l.name == "drastic":
         # L(u, v) = x finite forces one coordinate to 0 and the other to x.
         def drastic_raw_at(x: ExtRat) -> UnitRat:
@@ -191,7 +253,7 @@ def closure_profile(
                 key=lambda p: p.value,
             )
 
-        return EPS_INF, drastic_raw_at, probes
+        return [], drastic_raw_at
     grid = build_grid(t, f, g)
     cuts_f, cuts_g = grid.cuts_f, grid.cuts_g
     nf, ng = len(cuts_f), len(cuts_g)
@@ -226,7 +288,7 @@ def closure_profile(
                 return value
         return UNIT_ZERO
 
-    return canonicalize(jumps), raw_at, probes
+    return jumps, raw_at
 
 
 def tau_d_closed_form(f: DDF, g: DDF) -> DDF:

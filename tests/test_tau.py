@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -304,3 +305,89 @@ def test_closure_profile_matches_tau_raw_and_probes(spec):
                 expected = _reference_raw_at(t, l, f, g, x)
                 assert raw_at(x) == expected
                 assert tau_raw_at(t, l, f, g, x) == expected
+
+
+def _reference_tau(t, l, f, g):
+    """The regularized operation by its own full-grid loop: L at the lower
+    corner of every nonzero cell, then one sort of all of them."""
+    _require_supported(l)
+    if l.name == "drastic":
+        # Off the axes L is infinite; on the axes one factor evaluates to
+        # f(0) = 0 or g(0) = 0, so nothing reaches any finite level.
+        return EPS_INF
+    grid = build_grid(t, f, g)
+    jumps = []
+    for i, a in enumerate(grid.cuts_f):
+        row = grid.cell_values[i]
+        for j, b in enumerate(grid.cuts_g):
+            value = row[j]
+            if value == UNIT_ZERO:
+                continue
+            corner = l(a, b)
+            if not corner.is_infinite:
+                jumps.append((corner, value))
+    return canonicalize(jumps)
+
+
+def _steps(rng, n):
+    # n jumps: abscissae in ]0, 8] with denominators up to 16, values with
+    # denominators up to 64.
+    xs, ps = set(), set()
+    while len(xs) < n:
+        den = rng.randint(1, 16)
+        xs.add(Fraction(rng.randint(1, 8 * den), den))
+    while len(ps) < n:
+        den = rng.randint(1, 64)
+        ps.add(Fraction(rng.randint(1, den), den))
+    return DDF(tuple((ext(x), UnitRat(p)) for x, p in zip(sorted(xs), sorted(ps))))
+
+
+# Small pools, many jumps: equal corners and equal values tie often.
+TIED = RandomDDFConfig(max_jumps=16, abscissa_pool=3, value_pool=12)
+
+
+CONTINUOUS_SPECS = [
+    *(s for s in CONORM_SPECS if s != "drastic"), "osum_trunc:1/2", "osum_strict:1/2"
+]
+
+
+@pytest.mark.parametrize("spec", CONTINUOUS_SPECS)
+def test_staircase_walk_matches_the_full_grid(spec):
+    rng = random.Random(SEED)
+    l = catalog_tconorm_spec(spec)
+    edges = [EPS_INF, make_epsilon(EXT_ZERO), make_v(unit(1, 3)), TWO_STEP]
+    # One 128 x 128 pair per conorm, under a t-norm that rotates with it.
+    large = (_steps(rng, 128), _steps(rng, 128))
+    large_t = TNORM_NAMES[CONTINUOUS_SPECS.index(spec) % len(TNORM_NAMES)]
+    for t in [*map(catalog_tnorm, TNORM_NAMES), REVERSING]:
+        operands = [(_random_ddf(cfg, rng), _random_ddf(cfg, rng)) for cfg in [CFG, TIED] * 20]
+        # Jumps at 0 next to random ones, and the edge cases on either side.
+        operands += [
+            (canonicalize([(EXT_ZERO, unit(1, 8)), *f.jumps]), g) for f, g in operands[:10]
+        ]
+        operands += [(f, g) for f in edges for g in [*edges, _random_ddf(TIED, rng)]]
+        operands += [(g, f) for f, g in operands[-len(edges) * (len(edges) + 1):]]
+        if t.name == large_t:
+            operands.append(large)
+        for f, g in operands:
+            assert tau(t, l, f, g) == _reference_tau(t, l, f, g)
+
+
+def test_staircase_walk_is_output_sensitive():
+    # The full grid takes L at every nonzero cell; the walk takes it only
+    # at the cells its merge visits.
+    rng = random.Random(SEED)
+    n = m = 64
+    M, max_ = catalog_tnorm("M"), catalog_tconorm("max")
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return max_.fn(u, v)
+
+    for _ in range(4):
+        f, g = _steps(rng, n), _steps(rng, m)
+        calls.clear()
+        h = tau(M, dataclasses.replace(max_, fn=counted), f, g)
+        assert len(calls) < (n + 1) * (m + 1) / 10
+        assert h == _reference_tau(M, max_, f, g)
