@@ -33,7 +33,7 @@ from .lawcheck import (
 )
 from .rationals import RationalParseError, format_ext, format_unit, parse_ext
 from .tau import tau, tau_raw_at
-from .tconorms import TConormDesc, catalog_tconorm_spec
+from .tconorms import TCONORM_FORMS, TConormDesc, catalog_tconorm, catalog_tconorm_spec
 from .tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
 EXIT_OK = 0
@@ -54,11 +54,7 @@ def _build_parser() -> _Parser:
 
     def add_pair(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tnorm", required=True, help=f"one of {', '.join(TNORM_NAMES)}")
-        p.add_argument(
-            "--conorm",
-            required=True,
-            help="one of max, plus, nilpotent_rat, drastic, osum_trunc:<p>, osum_strict:<p>",
-        )
+        p.add_argument("--conorm", required=True, help=f"one of {', '.join(TCONORM_FORMS)}")
 
     def add_run(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=1000)
@@ -227,12 +223,12 @@ def _cmd_catalog(_args) -> int:
             f" weakly_left_continuous={_flag(d.is_weakly_left_continuous)}"
             f" continuous={_flag(d.is_continuous)}"
         )
-    for spec in ("max", "plus", "nilpotent_rat", "drastic", "osum_trunc:2", "osum_strict:2"):
-        l = catalog_tconorm_spec(spec)
-        d = l.declared
-        family = l.name if l.param is None else f"{l.name}:<p>"
+    for form in TCONORM_FORMS:
+        name, sep, _ = form.partition(":")
+        # A family's traits do not depend on its parameter.
+        d = catalog_tconorm(name, 2 if sep else None).declared
         print(
-            f"tconorm {family} tconorm_axioms={_flag(d.is_tconorm)}"
+            f"tconorm {form} tconorm_axioms={_flag(d.is_tconorm)}"
             f" continuous={_flag(d.is_continuous)}"
             f" strictly_increasing={_flag(d.satisfies_ls)}"
             f" conditionally_strictly_increasing={_flag(d.satisfies_lcs)}"

@@ -34,10 +34,11 @@ it, and its cost follows the output, not the grid.  For any other T it reads
 the regularized operation off :func:`closure_profile`.
 
 The drastic conorm is the one catalog entry the corner rule cannot serve
-(it is discontinuous off the axes); a dedicated branch handles it: every
-cell off the axes maps to infinity, and on the axes one argument is zero,
-so the regularized output collapses to the step at infinity, and the raw
-value at a finite x comes from the axes alone.
+(it is discontinuous off the axes); a dedicated branch handles it before
+any grid or corner matrix is built: every cell off the axes maps to
+infinity, and on the axes one argument is zero, so the regularized output
+collapses to the step at infinity, and the raw value at a finite x comes
+from the axes alone.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitR
     """The definitional supremum over { L(u,v) = x }, evaluated exactly by
     the raw evaluator of :func:`closure_profile`, without its probes."""
     _require_supported(l)
+    if l.name == "drastic":
+        return _drastic_raw(t, f, g)(x)
     return _grid_profile(t, l, f, g, _corner_matrix(l, f, g))[1](x)
 
 
@@ -229,6 +232,11 @@ def closure_profile(
     nonzero cells in order of decreasing value.
     """
     _require_supported(l)
+    if l.name == "drastic":
+        # No cell reaches a finite level, and a corner's image is finite only
+        # on the axes, where it is the other coordinate: the operands' cuts.
+        cuts = (x.finite for h in (f, g) for x, _ in h.jumps)
+        return EPS_INF, _drastic_raw(t, f, g), probe_points(cuts)
     corners = _corner_matrix(l, f, g)
     jumps, raw_at = _grid_profile(t, l, f, g, corners)
     probes = probe_points(c.finite for c in _finite_images(corners))
@@ -240,20 +248,6 @@ def _grid_profile(
 ) -> tuple[list[tuple[ExtRat, UnitRat]], Callable[[ExtRat], UnitRat]]:
     # The corner jump of every nonzero cell with a finite lower corner, and
     # the raw evaluator of closure_profile, from one grid.
-    if l.name == "drastic":
-        # L(u, v) = x finite forces one coordinate to 0 and the other to x.
-        def drastic_raw_at(x: ExtRat) -> UnitRat:
-            if x.is_infinite:
-                return UNIT_ONE
-            if x == EXT_ZERO:
-                return UNIT_ZERO
-            return max(
-                t(f.value_at(x), g.value_at(EXT_ZERO)),
-                t(f.value_at(EXT_ZERO), g.value_at(x)),
-                key=lambda p: p.value,
-            )
-
-        return [], drastic_raw_at
     grid = build_grid(t, f, g)
     cuts_f, cuts_g = grid.cuts_f, grid.cuts_g
     nf, ng = len(cuts_f), len(cuts_g)
@@ -289,6 +283,23 @@ def _grid_profile(
         return UNIT_ZERO
 
     return jumps, raw_at
+
+
+def _drastic_raw(t: TNormDesc, f: DDF, g: DDF) -> Callable[[ExtRat], UnitRat]:
+    # The raw evaluator under the drastic conorm, which reads no grid:
+    # L(u, v) = x finite forces one coordinate to 0 and the other to x.
+    def raw_at(x: ExtRat) -> UnitRat:
+        if x.is_infinite:
+            return UNIT_ONE
+        if x == EXT_ZERO:
+            return UNIT_ZERO
+        return max(
+            t(f.value_at(x), g.value_at(EXT_ZERO)),
+            t(f.value_at(EXT_ZERO), g.value_at(x)),
+            key=lambda p: p.value,
+        )
+
+    return raw_at
 
 
 def tau_d_closed_form(f: DDF, g: DDF) -> DDF:

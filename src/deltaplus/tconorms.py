@@ -5,18 +5,26 @@ axioms, continuity, joint strict monotonicity (unconditional and the
 variant conditioned on a finite result), and Archimedean-ness, together
 with hints at known idempotent elements.
 
-Two families are built from an order isomorphism between [0,infinity] and
-[0,1] that stays inside the rationals:
+A continuous t-conorm is an ordinal sum of continuous Archimedean
+summands (Ling 1965).  Every continuous entry but ``max`` is one summand
+on [0, end] with an increasing generator phi, phi(0) = 0, and the
+maximum above it:
+
+    L(u, v) = phi^-1(min(phi(u) + phi(v), phi(end)))   for u, v <= end
+
+``plus`` is (inf, t), ``osum_trunc:p`` is (p, t), ``osum_strict:p`` is
+(p, t / (p - t)), and ``nilpotent_rat`` is (inf, squash), capped addition
+through an order isomorphism [0,infinity] -> [0,1] that stays rational:
 
     squash(t)   = t / (1 + t)         squash(inf) = 1
     unsquash(s) = s / (1 - s)         unsquash(1) = inf
 
-``nilpotent_rat`` is capped addition transported through that map; it is
-order-isomorphic to truncated addition on [0,1], which pins down every
-order-theoretic property this package consumes (Archimedean, conditionally
-strictly increasing, not jointly strictly increasing).  The ordinal-sum
-constructors take a single idempotent parameter p: below p they behave
-like (truncated or strict) addition, above p like the maximum.
+Each generator is a rational Moebius map, so every value is exact.  From
+(end, phi, phi^-1) :func:`_ordinal_sum` derives the evaluator, the
+level-set solver phi^-1(phi(x) - phi(u)) (a summand on all of
+[0,infinity]), the plateau predicate (a finite summand with finite
+phi(end)) and the idempotent hints end and end + 1.  ``max`` and the
+discontinuous ``drastic`` are written out directly.
 """
 
 from __future__ import annotations
@@ -24,16 +32,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 from .rationals import (
-    EXT_INF,
-    EXT_ZERO,
-    ExtRat,
-    ext,
-    ext_add,
-    ext_max,
-    ext_min,
+    EXT_INF, EXT_ZERO, ExtRat, RationalParseError, _parse_fraction, ext, ext_max,
 )
 from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
@@ -105,104 +108,87 @@ class TConormDesc:
         return f"{self.name}:{text}"
 
 
-def _plus_solve(u: ExtRat, x: ExtRat) -> ExtRat:
-    if x.is_infinite:
-        return EXT_INF
-    if u.is_infinite or u.finite > x.finite:
-        raise ValueError("no solution: first argument exceeds target")
-    return ExtRat(x.finite - u.finite)
-
-
-def _nilpotent(u: ExtRat, v: ExtRat) -> ExtRat:
-    return unsquash(min(squash(u) + squash(v), Fraction(1)))
-
-
-def _nilpotent_solve(u: ExtRat, x: ExtRat) -> ExtRat:
-    if x.is_infinite:
-        return EXT_INF
-    rest = squash(x) - squash(u)
-    if rest < 0:
-        raise ValueError("no solution: first argument exceeds target")
-    return unsquash(rest)
-
-
 def _drastic(u: ExtRat, v: ExtRat) -> ExtRat:
     if u == EXT_ZERO or v == EXT_ZERO:
         return ext_max(u, v)
     return EXT_INF
 
 
-def _make_osum_trunc(p: Fraction) -> TConormFn:
-    cap = ExtRat(p)
+def _ordinal_sum(
+    name: str, traits: TConormTraits, end: ExtRat,
+    phi: Callable[[ExtRat], Fraction | None], inv: Callable[[Fraction], ExtRat],
+) -> TConormDesc:
+    """The entry with one summand phi^-1(min(phi(u) + phi(v), phi(end)))
+    on [0, end] and the maximum above it; phi is None where infinite."""
+    top = phi(end)
+
+    def summand(u: ExtRat, v: ExtRat) -> ExtRat:
+        s, t = phi(u), phi(v)
+        if s is None or t is None:
+            return end
+        s += t
+        return end if top is not None and s >= top else inv(s)
+
+    if end.is_infinite:
+        def solve_second(u: ExtRat, x: ExtRat) -> ExtRat:
+            if x.is_infinite:
+                return EXT_INF
+            s, t = phi(x), phi(u)
+            if t is None or t > s:
+                raise ValueError("no solution: first argument exceeds target")
+            return inv(s - t)
+
+        return TConormDesc(name, summand, traits, solve_second=solve_second)
 
     def fn(u: ExtRat, v: ExtRat) -> ExtRat:
-        if u <= cap and v <= cap:
-            return ext_min(ext_add(u, v), cap)
-        return ext_max(u, v)
-
-    return fn
-
-
-def _make_osum_trunc_inf_attained(p: Fraction):
-    cap = ExtRat(p)
+        hi = ext_max(u, v)
+        return hi if hi > end else summand(u, v)
 
     def attained(a: ExtRat, b: ExtRat, a_hi: ExtRat, b_hi: ExtRat) -> bool:
-        # The value plateau {u,v <= p, u+v >= p} reaches into the cell
-        # interior exactly when the lower corner sits on it with room to
-        # move in both coordinates.
-        return a < cap and b < cap and ext_add(a, b) >= cap
+        # The plateau {u, v <= end, phi(u) + phi(v) >= phi(end)} reaches
+        # into the cell interior exactly when the lower corner sits on it
+        # with room to move in both coordinates.
+        return a < end and b < end and phi(a) + phi(b) >= top
 
-    return attained
+    return TConormDesc(
+        name, fn, traits, param=end.finite, idempotent_hints=(end, end + ext(1)),
+        cell_inf_attained=None if top is None else attained,
+    )
 
 
-def _make_osum_strict(p: Fraction) -> TConormFn:
-    cap = ExtRat(p)
-
-    def gen(t: ExtRat) -> Fraction | None:
-        # t / (p - t) on [0, p]; None encodes the pole at t = p.
-        if t == cap:
-            return None
-        return t.finite / (p - t.finite)
-
-    def fn(u: ExtRat, v: ExtRat) -> ExtRat:
-        if ext_max(u, v) > cap:
-            return ext_max(u, v)
-        gu, gv = gen(u), gen(v)
-        if gu is None or gv is None:
-            return cap
-        s = gu + gv
-        return ExtRat(p * s / (1 + s))
-
-    return fn
-
+# The identity generator: t itself, None at infinity.
+_identity = attrgetter("finite")
 
 _FIXED_CATALOG: dict[str, TConormDesc] = {
     "max": TConormDesc(
-        "max",
-        ext_max,
-        TConormTraits(True, True, True, True, True, False),
-        idempotent_hints=(ext(1), ext(2)),
+        "max", ext_max, TConormTraits(True, True, True, True, True, False), None, (ext(1), ext(2))
     ),
-    "plus": TConormDesc(
-        "plus",
-        ext_add,
-        TConormTraits(True, True, True, True, True, True),
-        solve_second=_plus_solve,
+    "plus": _ordinal_sum(
+        "plus", TConormTraits(True, True, True, True, True, True), EXT_INF, _identity, ExtRat
     ),
-    "nilpotent_rat": TConormDesc(
-        "nilpotent_rat",
-        _nilpotent,
-        TConormTraits(True, True, True, False, True, True),
-        solve_second=_nilpotent_solve,
+    "nilpotent_rat": _ordinal_sum(
+        "nilpotent_rat", TConormTraits(True, True, True, False, True, True), EXT_INF,
+        squash, unsquash,
     ),
-    "drastic": TConormDesc(
-        "drastic",
-        _drastic,
-        TConormTraits(True, False, False, False, True, True),
+    "drastic": TConormDesc("drastic", _drastic, TConormTraits(True, False, False, False, True, True)),
+}
+
+# The ordinal-sum families, one entry per positive rational parameter p.
+_FAMILIES: dict[str, Callable[[Fraction], TConormDesc]] = {
+    "osum_trunc": lambda p: _ordinal_sum(
+        "osum_trunc", TConormTraits(True, True, True, False, False, False), ExtRat(p),
+        _identity, ExtRat,
+    ),
+    "osum_strict": lambda p: _ordinal_sum(
+        "osum_strict", TConormTraits(True, True, True, True, True, False), ExtRat(p),
+        lambda t: None if t.finite == p else t.finite / (p - t.finite),
+        lambda s: ExtRat(p * s / (1 + s)),
     ),
 }
 
-TCONORM_NAMES = ("max", "plus", "nilpotent_rat", "drastic", "osum_trunc", "osum_strict")
+TCONORM_NAMES = (*_FIXED_CATALOG, *_FAMILIES)
+# The names as the CLI lists them: a family is written name:<p>.
+TCONORM_FORMS = (*_FIXED_CATALOG, *(f"{name}:<p>" for name in _FAMILIES))
 
 
 def catalog_tconorm(name: str, param: Fraction | int | None = None) -> TConormDesc:
@@ -212,43 +198,29 @@ def catalog_tconorm(name: str, param: Fraction | int | None = None) -> TConormDe
         if param is not None:
             raise CatalogError(f"{name} takes no parameter")
         return _FIXED_CATALOG[name]
-    if name in ("osum_trunc", "osum_strict"):
+    if name in _FAMILIES:
         if param is None:
             raise CatalogError(f"{name} requires a parameter, e.g. {name}:2")
         p = Fraction(param)
         if p <= 0:
             raise CatalogError(f"{name} parameter must be positive, got {p}")
-        hints = (ExtRat(p), ExtRat(p + 1))
-        if name == "osum_trunc":
-            return TConormDesc(
-                "osum_trunc",
-                _make_osum_trunc(p),
-                TConormTraits(True, True, True, False, False, False),
-                param=p,
-                idempotent_hints=hints,
-                cell_inf_attained=_make_osum_trunc_inf_attained(p),
-            )
-        return TConormDesc(
-            "osum_strict",
-            _make_osum_strict(p),
-            TConormTraits(True, True, True, True, True, False),
-            param=p,
-            idempotent_hints=hints,
-        )
+        return _FAMILIES[name](p)
     raise CatalogError(
         f"unknown t-conorm {name!r}; valid names: {', '.join(TCONORM_NAMES)}"
     )
 
 
 def catalog_tconorm_spec(spec: str) -> TConormDesc:
-    """Parse CLI-style names such as ``plus`` or ``osum_trunc:3/2``."""
+    """Parse CLI-style names such as ``plus`` or ``osum_trunc:3/2``; the
+    parameter takes the package's rational grammar, digits or
+    digits/digits."""
     name, sep, param_text = spec.partition(":")
     if not sep:
         return catalog_tconorm(name)
     try:
-        param = Fraction(param_text)
-    except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"bad parameter in {spec!r}") from None
+        param = _parse_fraction(param_text)
+    except RationalParseError as exc:
+        raise CatalogError(f"bad parameter in {spec!r}: {exc}") from None
     return catalog_tconorm(name, param)
 
 

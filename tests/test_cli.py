@@ -150,6 +150,23 @@ def test_usage_errors_exit_64(capsys):
     assert exit_info.value.code == 64
 
 
+def test_conorm_parameter_takes_the_rational_grammar():
+    # Fraction() would read 1e-400000 as a fraction with a 400001-digit
+    # denominator, which the report then cannot finish printing.
+    script = (
+        "import sys\n"
+        "from deltaplus.cli import main\n"
+        "sys.exit(main(['classify', '--tnorm', 'M', '--conorm', 'osum_trunc:1e-400000']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(deltaplus.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert result.returncode == 64 and result.stdout == ""
+    assert "'osum_trunc:1e-400000'" in result.stderr
+
+
 def test_catalog_lists_all_families(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -391,3 +391,27 @@ def test_staircase_walk_is_output_sensitive():
         h = tau(M, dataclasses.replace(max_, fn=counted), f, g)
         assert len(calls) < (n + 1) * (m + 1) / 10
         assert h == _reference_tau(M, max_, f, g)
+
+
+def test_drastic_raw_evaluation_takes_no_conorm(monkeypatch):
+    # The drastic raw rule reads the operands on the axes, and its finite
+    # corner images are the operands' cuts, so no corner matrix is built.
+    rng = random.Random(SEED)
+    M, drastic = catalog_tnorm("M"), catalog_tconorm("drastic")
+    f, g = TWO_STEP, _steps(rng, 6)
+    probes = probe_abscissae(drastic, f, g)
+    calls = []
+    call = TConormDesc.__call__
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return call(self, u, v)
+
+    monkeypatch.setattr(TConormDesc, "__call__", counted)
+    raw = tau_raw_at(M, drastic, f, g, ext(3))
+    regularized, raw_at, profile_probes = closure_profile(M, drastic, f, g)
+    values = [raw_at(x) for x in profile_probes]
+    assert calls == []
+    assert raw == _reference_raw_at(M, drastic, f, g, ext(3))
+    assert (regularized, profile_probes) == (EPS_INF, probes)
+    assert values == [_reference_raw_at(M, drastic, f, g, x) for x in probes]

@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
-from deltaplus.rationals import EXT_INF, EXT_ZERO, ext
+from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext, ext_add, ext_max, ext_min
 from deltaplus.tconorms import (
     CatalogError,
+    _sample_pool,
     catalog_tconorm,
     catalog_tconorm_spec,
     check_LCS,
@@ -199,3 +200,115 @@ def test_idempotent_hints_are_sound():
         l = catalog_tconorm_spec(spec)
         for hint in l.idempotent_hints:
             assert l(hint, hint) == hint
+
+
+# The hand-written conorm code that the one generated summand replaced,
+# kept verbatim as the reference the derivation is pinned against.
+def _reference_plus_solve(u: ExtRat, x: ExtRat) -> ExtRat:
+    if x.is_infinite:
+        return EXT_INF
+    if u.is_infinite or u.finite > x.finite:
+        raise ValueError("no solution: first argument exceeds target")
+    return ExtRat(x.finite - u.finite)
+
+
+def _reference_nilpotent(u: ExtRat, v: ExtRat) -> ExtRat:
+    return unsquash(min(squash(u) + squash(v), Fraction(1)))
+
+
+def _reference_nilpotent_solve(u: ExtRat, x: ExtRat) -> ExtRat:
+    if x.is_infinite:
+        return EXT_INF
+    rest = squash(x) - squash(u)
+    if rest < 0:
+        raise ValueError("no solution: first argument exceeds target")
+    return unsquash(rest)
+
+
+def _reference_make_osum_trunc(p: Fraction):
+    cap = ExtRat(p)
+
+    def fn(u: ExtRat, v: ExtRat) -> ExtRat:
+        if u <= cap and v <= cap:
+            return ext_min(ext_add(u, v), cap)
+        return ext_max(u, v)
+
+    return fn
+
+
+def _reference_make_osum_trunc_inf_attained(p: Fraction):
+    cap = ExtRat(p)
+
+    def attained(a: ExtRat, b: ExtRat, a_hi: ExtRat, b_hi: ExtRat) -> bool:
+        # The value plateau {u,v <= p, u+v >= p} reaches into the cell
+        # interior exactly when the lower corner sits on it with room to
+        # move in both coordinates.
+        return a < cap and b < cap and ext_add(a, b) >= cap
+
+    return attained
+
+
+def _reference_make_osum_strict(p: Fraction):
+    cap = ExtRat(p)
+
+    def gen(t: ExtRat) -> Fraction | None:
+        # t / (p - t) on [0, p]; None encodes the pole at t = p.
+        if t == cap:
+            return None
+        return t.finite / (p - t.finite)
+
+    def fn(u: ExtRat, v: ExtRat) -> ExtRat:
+        if ext_max(u, v) > cap:
+            return ext_max(u, v)
+        gu, gv = gen(u), gen(v)
+        if gu is None or gv is None:
+            return cap
+        s = gu + gv
+        return ExtRat(p * s / (1 + s))
+
+    return fn
+
+
+def _reference_parts(spec):
+    """``(fn, solve_second, cell_inf_attained, idempotent_hints)`` as the
+    hand-written catalog declared them."""
+    name, _, text = spec.partition(":")
+    if name == "plus":
+        return ext_add, _reference_plus_solve, None, ()
+    if name == "nilpotent_rat":
+        return _reference_nilpotent, _reference_nilpotent_solve, None, ()
+    p = Fraction(text)
+    hints = (ExtRat(p), ExtRat(p + 1))
+    if name == "osum_trunc":
+        return (
+            _reference_make_osum_trunc(p), None, _reference_make_osum_trunc_inf_attained(p), hints
+        )
+    return _reference_make_osum_strict(p), None, None, hints
+
+
+GENERATED_SPECS = ["plus", "nilpotent_rat"] + [
+    f"{family}:{p}" for family in ("osum_trunc", "osum_strict") for p in ("1/3", "3/2", "2", "5")
+]
+
+
+@pytest.mark.parametrize("spec", GENERATED_SPECS)
+def test_generated_summand_matches_the_hand_written_formulas(spec):
+    l = catalog_tconorm_spec(spec)
+    fn, solve_second, attained, hints = _reference_parts(spec)
+    points = sorted(set(GRID) | set(_sample_pool(l)))
+    assert l.idempotent_hints == hints
+    for u, v in product(points, repeat=2):
+        assert l(u, v) == fn(u, v)
+    assert (l.solve_second is None) == (solve_second is None)
+    if solve_second is not None:
+        for u, x in product(points, repeat=2):
+            if u <= x:
+                assert l.solve_second(u, x) == solve_second(u, x)
+            else:
+                with pytest.raises(ValueError):
+                    l.solve_second(u, x)
+    assert (l.cell_inf_attained is None) == (attained is None)
+    if attained is not None:
+        for a, a_hi, b, b_hi in product(points, repeat=4):
+            if a < a_hi and b < b_hi:
+                assert l.cell_inf_attained(a, b, a_hi, b_hi) == attained(a, b, a_hi, b_hi)
