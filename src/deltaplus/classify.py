@@ -10,11 +10,13 @@ The verdict is Triangle exactly when
 
 Each condition carries evidence: a checker verdict (with witness on
 failure), the declared flag when no finite check can decide (full
-continuity of a black-box conorm), or a vacuity marker.  Checker results
-are cross-validated against the declared metadata; a mismatch raises
-instead of silently preferring either side, and an operation without
-declared metadata is refused outright -- continuity-class properties are
-not decidable from finitely many samples.
+continuity of the conorm), or a vacuity marker.  Checker results are
+cross-validated against the declared metadata; a mismatch raises instead
+of silently preferring either side, and an operation without declared
+metadata is refused outright.  Condition (c) is decided exactly from the
+t-norm's declared discontinuity curves; for ``M``, ``Pi`` and ``W``,
+which declare none, its pass rests on their declared continuity, as
+``a_continuity`` does.
 """
 
 from __future__ import annotations

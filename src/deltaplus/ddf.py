@@ -41,6 +41,7 @@ from .rationals import (
     format_unit,
     parse_ext,
     parse_unit,
+    quoted,
 )
 
 if TYPE_CHECKING:
@@ -204,7 +205,7 @@ def parse_ddf(text: str) -> DDF | PLDDF:
         parts = body.split()
         kind = parts[0]
         if fields.get(kind) != len(parts):
-            raise DdfParseError(line_no, f"expected {grammar}, got {body!r}")
+            raise DdfParseError(line_no, f"expected {grammar}, got {quoted(body)}")
         try:
             xs = [parse_ext(part) for part in parts[1:-1]]
             p = parse_unit(parts[-1])

@@ -51,6 +51,7 @@ from .rationals import (
     UnitRat,
     format_ext,
     format_unit,
+    quoted,
 )
 from .tau import closure_profile, tau
 from .tconorms import TConormDesc
@@ -276,7 +277,7 @@ def _law(law: str):
     try:
         return _LAW_TABLE[law]
     except KeyError:
-        raise ValueError(f"unknown law {law!r}; valid laws: {', '.join(LAWS)}") from None
+        raise ValueError(f"unknown law {quoted(law)}; valid laws: {', '.join(LAWS)}") from None
 
 
 def _case(t: TNormDesc, l: TConormDesc, law: str, operands: tuple) -> LawWitness | None:

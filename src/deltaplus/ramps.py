@@ -13,13 +13,10 @@ ramp.
 The closure law is exact here for L = max.  Under the maximum the
 supremum over { max(u, v) = x } is attained at u = v = x, so the raw
 value at x is T(f(x), g(x)); the supremum over { max(u, v) < x } is the
-left limit at x of s -> T(f(s), g(s)).  On the last linear piece left of
-x the pair (f(s), g(s)) runs along a segment into (f(x), g(x)).  Where
-that point lies on none of T's declared discontinuity curves the limit
-is T's value there; on a curve it is T's formula on the side the segment
-comes from, extended to the point.  A closure case probes the operands'
-breakpoints, the midpoints between them, one point beyond, and the
-points where (f(s), g(s)) crosses a curve.
+left limit at x of s -> T(f(s), g(s)): T's limit at (f(x), g(x)) along
+the last linear piece left of x, :func:`~deltaplus.tnorms.limit_along`.
+A closure case probes the operands' breakpoints, the midpoints between
+them, one point beyond, and the points where (f(s), g(s)) crosses a curve.
 
 :func:`regularized_by_extrapolation` recomputes the regularized value
 along a second path that reads neither the curves nor the formulas, for
@@ -39,7 +36,7 @@ from .ddf import DDF, serialize
 from .rationals import UNIT_ONE, UNIT_ZERO, ExtRat, UnitRat
 from .tau import UnsupportedPairError
 from .tconorms import TConormDesc
-from .tnorms import TNormDesc
+from .tnorms import TNormDesc, limit_along
 
 # (x, f(x), f(x+)): the value at a knot and the value just after it.
 Knot = tuple[ExtRat, UnitRat, UnitRat]
@@ -137,10 +134,6 @@ def _require_supported(l: TConormDesc) -> None:
         )
 
 
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
 def closure_values(
     t: TNormDesc, l: TConormDesc, f: Operand, g: Operand, x: ExtRat
 ) -> tuple[UnitRat, UnitRat, tuple[ExtRat, ExtRat]]:
@@ -148,17 +141,9 @@ def closure_values(
     a pair (u, v) with L(u, v) = x at which T(f(u), g(v)) is the raw value."""
     _require_supported(l)
     a, b = f.value_at(x), g.value_at(x)
-    raw = t(a, b)
-    if not t.curves:
-        return raw, raw, (x, x)
-    _, _, df = f.left_piece(x.finite)
-    _, _, dg = g.left_piece(x.finite)
-    sides = []
-    for alpha, beta, gamma in t.curves:
-        offset = alpha * a.value + beta * b.value - gamma
-        # On the curve at x, the segment comes from the side its slope leaves.
-        sides.append(_sign(offset) if offset else -_sign(alpha * df + beta * dg))
-    return t.branch(a, b, tuple(sides)), raw, (x, x)
+    df, dg = (h.left_piece(x.finite)[2] for h in (f, g))
+    # The segment into (a, b) comes from the side its slope leaves.
+    return limit_along(t, a, b, -df, -dg), t(a, b), (x, x)
 
 
 def closure_probes(t: TNormDesc, f: Operand, g: Operand) -> list[ExtRat]:

@@ -137,6 +137,12 @@ def ext_max(a: ExtRat, b: ExtRat) -> ExtRat:
     return a if ext_cmp(a, b) >= 0 else b
 
 
+def quoted(text: str) -> str:
+    """``repr(text)`` for an error message, or only its length when it is
+    too long to echo."""
+    return repr(text) if len(text) <= 64 else f"<{len(text)} characters>"
+
+
 def _is_digits(text: str) -> bool:
     # ASCII only: str.isdigit also accepts superscripts and other scripts'
     # digits, which int() then rejects or reads as decimal digits.
@@ -157,12 +163,12 @@ def _parse_fraction(text: str) -> Fraction:
     if "/" in body:
         num_text, _, den_text = body.partition("/")
         if not (_is_digits(num_text) and _is_digits(den_text)):
-            raise RationalParseError(f"malformed rational literal: {text!r}")
+            raise RationalParseError(f"malformed rational literal: {quoted(text)}")
         if _int(den_text) == 0:
-            raise RationalParseError(f"zero denominator in literal: {text!r}")
+            raise RationalParseError(f"zero denominator in literal: {quoted(text)}")
         return Fraction(_int(num_text), _int(den_text))
     if not _is_digits(body):
-        raise RationalParseError(f"malformed rational literal: {text!r}")
+        raise RationalParseError(f"malformed rational literal: {quoted(text)}")
     return Fraction(_int(body))
 
 
@@ -184,7 +190,7 @@ def parse_unit(text: str) -> UnitRat:
     """Parse a rational literal confined to [0, 1]."""
     value = _parse_fraction(text)
     if value > 1:
-        raise RationalParseError(f"unit literal exceeds 1: {text!r}")
+        raise RationalParseError(f"unit literal exceeds 1: {quoted(text)}")
     return UnitRat(value)
 
 

@@ -23,8 +23,8 @@ Each generator is a rational Moebius map, so every value is exact.  From
 (end, phi, phi^-1) :func:`_ordinal_sum` derives the evaluator, the
 level-set solver phi^-1(phi(x) - phi(u)) (a summand on all of
 [0,infinity]), the plateau predicate (a finite summand with finite
-phi(end)) and the idempotent hints end and end + 1.  ``max`` and the
-discontinuous ``drastic`` are written out directly.
+phi(end)), the idempotent hints end and end + 1, and the declared traits.
+``max`` and the discontinuous ``drastic`` are written out directly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .rationals import (
-    EXT_INF, EXT_ZERO, ExtRat, RationalParseError, _parse_fraction, ext, ext_max,
+    EXT_INF, EXT_ZERO, ExtRat, RationalParseError, _parse_fraction, ext, ext_max, quoted,
 )
 from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
@@ -115,12 +115,18 @@ def _drastic(u: ExtRat, v: ExtRat) -> ExtRat:
 
 
 def _ordinal_sum(
-    name: str, traits: TConormTraits, end: ExtRat,
+    name: str, end: ExtRat,
     phi: Callable[[ExtRat], Fraction | None], inv: Callable[[Fraction], ExtRat],
 ) -> TConormDesc:
     """The entry with one summand phi^-1(min(phi(u) + phi(v), phi(end)))
     on [0, end] and the maximum above it; phi is None where infinite."""
     top = phi(end)
+    # Archimedean iff no max part sits above the summand (end = inf); strict
+    # iff it has no plateau (phi(end) infinite); conditionally strict also
+    # when its only plateau is at L = inf.
+    traits = TConormTraits(
+        True, True, True, top is None, top is None or end.is_infinite, end.is_infinite
+    )
 
     def summand(u: ExtRat, v: ExtRat) -> ExtRat:
         s, t = phi(u), phi(v)
@@ -163,25 +169,16 @@ _FIXED_CATALOG: dict[str, TConormDesc] = {
     "max": TConormDesc(
         "max", ext_max, TConormTraits(True, True, True, True, True, False), None, (ext(1), ext(2))
     ),
-    "plus": _ordinal_sum(
-        "plus", TConormTraits(True, True, True, True, True, True), EXT_INF, _identity, ExtRat
-    ),
-    "nilpotent_rat": _ordinal_sum(
-        "nilpotent_rat", TConormTraits(True, True, True, False, True, True), EXT_INF,
-        squash, unsquash,
-    ),
+    "plus": _ordinal_sum("plus", EXT_INF, _identity, ExtRat),
+    "nilpotent_rat": _ordinal_sum("nilpotent_rat", EXT_INF, squash, unsquash),
     "drastic": TConormDesc("drastic", _drastic, TConormTraits(True, False, False, False, True, True)),
 }
 
 # The ordinal-sum families, one entry per positive rational parameter p.
 _FAMILIES: dict[str, Callable[[Fraction], TConormDesc]] = {
-    "osum_trunc": lambda p: _ordinal_sum(
-        "osum_trunc", TConormTraits(True, True, True, False, False, False), ExtRat(p),
-        _identity, ExtRat,
-    ),
+    "osum_trunc": lambda p: _ordinal_sum("osum_trunc", ExtRat(p), _identity, ExtRat),
     "osum_strict": lambda p: _ordinal_sum(
-        "osum_strict", TConormTraits(True, True, True, True, True, False), ExtRat(p),
-        lambda t: None if t.finite == p else t.finite / (p - t.finite),
+        "osum_strict", ExtRat(p), lambda t: None if t.finite == p else t.finite / (p - t.finite),
         lambda s: ExtRat(p * s / (1 + s)),
     ),
 }
@@ -206,7 +203,7 @@ def catalog_tconorm(name: str, param: Fraction | int | None = None) -> TConormDe
             raise CatalogError(f"{name} parameter must be positive, got {p}")
         return _FAMILIES[name](p)
     raise CatalogError(
-        f"unknown t-conorm {name!r}; valid names: {', '.join(TCONORM_NAMES)}"
+        f"unknown t-conorm {quoted(name)}; valid names: {', '.join(TCONORM_NAMES)}"
     )
 
 
@@ -220,7 +217,7 @@ def catalog_tconorm_spec(spec: str) -> TConormDesc:
     try:
         param = _parse_fraction(param_text)
     except RationalParseError as exc:
-        raise CatalogError(f"bad parameter in {spec!r}: {exc}") from None
+        raise CatalogError(f"bad parameter in {quoted(spec)}: {exc}") from None
     return catalog_tconorm(name, param)
 
 

@@ -8,11 +8,13 @@ continuous formula on each side of them.  The ``check_*`` functions
 falsify or support those flags; declared metadata must survive the
 falsification suite.
 
-Continuity of a black-box operation is only semi-decidable from samples.
-The checkers combine exact probing of the declared boundary points with a
-dyadic refinement delta_k = 2**-k for k <= REFINE_DEPTH, and report a
-failure only when a gap of at least 2**-REFINE_DEPTH survives the final
-refinement step without improving.  Elsewhere a pass means "sampled pass".
+Continuity is decided exactly from the declared curves.  Off them T is one
+continuous formula per region (``branch``, equal to ``fn`` there), so its
+limit along a direction is that region's formula at the point
+(:func:`limit_along`), and a monotone T reaches its sup left of a point
+along the diagonal (left continuity) or the two axes (weak).  An entry
+with no curves is continuous by declaration: ``M``, ``Pi`` and ``W`` pass
+on their declared flag.  A descriptor with neither is refused.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable
 
-from .rationals import UNIT_ONE, UNIT_ZERO, UnitRat
+from .rationals import UNIT_ONE, UNIT_ZERO, RationalLike, UnitRat, quoted
 from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
 TNormFn = Callable[[UnitRat, UnitRat], UnitRat]
@@ -35,9 +38,6 @@ BranchFn = Callable[[UnitRat, UnitRat, tuple[int, ...]], UnitRat]
 ANTIDIAGONAL: Curve = (1, 1, 1)
 RIGHT_EDGE: Curve = (1, 0, 1)
 TOP_EDGE: Curve = (0, 1, 1)
-
-REFINE_DEPTH = 20
-_GAP_FLOOR = Fraction(1, 2**REFINE_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,10 @@ class TNormDesc:
 
     ``declared`` may be None for a black-box operation; such descriptors
     can be checked but not classified.  ``fn`` is continuous off
-    ``curves``; ``branch`` is required whenever ``curves`` is not empty.
+    ``curves``; ``branch`` is required whenever ``curves`` is not empty and
+    equals ``fn`` off them.  The continuity checkers read ``branch``, trust
+    T to be monotone, and refuse an entry with neither curves nor declared
+    continuity.
     """
 
     name: str
@@ -179,7 +182,7 @@ def catalog_tnorm(name: str) -> TNormDesc:
         return _CATALOG[name]
     except KeyError:
         raise CatalogError(
-            f"unknown t-norm {name!r}; valid names: {', '.join(TNORM_NAMES)}"
+            f"unknown t-norm {quoted(name)}; valid names: {', '.join(TNORM_NAMES)}"
         ) from None
 
 
@@ -195,64 +198,48 @@ def check_tnorm_axioms(t: TNormDesc, budget: int, seed: int) -> Verdict:
     return check_axioms(t, _random_unit, UNIT_ONE, budget, seed)
 
 
-def _approach_probes(
-    x: UnitRat, y: UnitRat, k: int, region: str
-) -> Iterable[tuple[UnitRat, UnitRat]]:
-    delta = Fraction(1, 2**k)
-    if region == "weak":
-        if y.value - delta >= 0:
-            yield x, UnitRat(y.value - delta)
-        if x.value - delta >= 0:
-            yield UnitRat(x.value - delta), y
-    if x.value - delta >= 0 and y.value - delta >= 0:
-        yield UnitRat(x.value - delta), UnitRat(y.value - delta)
+def limit_along(
+    t: TNormDesc, x: UnitRat, y: UnitRat, dx: RationalLike, dy: RationalLike
+) -> UnitRat:
+    """The limit of T at (x, y) from the points (x + s*dx, y + s*dy), s -> 0+.
+
+    Those points lie, for small s, on one side of each declared curve: the
+    side of (x, y), or the side (dx, dy) points to when (x, y) is on it.
+    """
+    if not t.curves:
+        return t(x, y)
+    sides = []
+    for alpha, beta, gamma in t.curves:
+        offset = alpha * x.value + beta * y.value - gamma or alpha * dx + beta * dy
+        sides.append((offset > 0) - (offset < 0))
+    return t.branch(x, y, tuple(sides))
+
+
+# The directions whose best limit is T's sup over the approach region: the
+# quadrant {u<x, v<y} for ``left``, {u<=x, v<y} or {u<x, v<=y} for ``weak``.
+_DIRECTIONS = {"left": ((-1, -1),), "weak": ((0, -1), (-1, 0))}
 
 
 def _check_point_continuity(t: TNormDesc, x: UnitRat, y: UnitRat, region: str) -> bool:
-    """True when the sup over the approach region reaches t(x, y).
-
-    The approach region is the open quadrant {u<x, v<y} for ``left`` and
-    the L-shaped set {u<=x, v<y} or {u<x, v<=y} for ``weak``.  For a
-    monotone operation the sup equals the limit along the probed edges, so
-    the dyadic refinement below converges to it; a genuine discontinuity
-    shows up as a gap that stops shrinking.
-    """
-    target = t(x, y).value
-    best = Fraction(0)
-    prev_best = Fraction(-1)
-    for k in range(1, REFINE_DEPTH + 1):
-        prev_best = best
-        for u, v in _approach_probes(x, y, k, region):
-            value = t(u, v).value
-            if value > best:
-                best = value
-        if best >= target:
-            return True
-    gap = target - best
-    if gap < _GAP_FLOOR:
-        return True
-    # Persistent gap: the final refinement brought no improvement.
-    return best != prev_best
+    """True when T's sup over the approach region reaches t(x, y)."""
+    best = max(limit_along(t, x, y, dx, dy).value for dx, dy in _DIRECTIONS[region])
+    return best >= t(x, y).value
 
 
 def _continuity_check(t: TNormDesc, budget: int, seed: int, region: str) -> Verdict:
+    if not t.curves and not (t.declared and t.declared.is_continuous):
+        raise ValueError(f"t-norm {t.name!r} declares neither curves nor continuity")
     label = "weakly left" if region == "weak" else "left"
     rng = random.Random(seed)
-    cases = 0
     # Exact probes on declared discontinuity curves come first.
-    for x, y in t.boundary_probes:
-        if x.value == 0 or y.value == 0:
-            continue
-        cases += 1
+    probes = [(x, y) for x, y in t.boundary_probes if x.value and y.value]
+    samples = (
+        (_random_unit(rng, positive=True), _random_unit(rng, positive=True)) for _ in range(budget)
+    )
+    for cases, (x, y) in enumerate(chain(probes, samples), 1):
         if not _check_point_continuity(t, x, y, region):
             return Verdict(False, cases, Witness2D((x, y), f"not {label} continuous"))
-    for _ in range(budget):
-        x = _random_unit(rng, positive=True)
-        y = _random_unit(rng, positive=True)
-        cases += 1
-        if not _check_point_continuity(t, x, y, region):
-            return Verdict(False, cases, Witness2D((x, y), f"not {label} continuous"))
-    return Verdict(True, cases)
+    return Verdict(True, len(probes) + budget)
 
 
 def check_weak_left_continuity(t: TNormDesc, budget: int, seed: int) -> Verdict:

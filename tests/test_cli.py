@@ -167,6 +167,22 @@ def test_conorm_parameter_takes_the_rational_grammar():
     assert "'osum_trunc:1e-400000'" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        (["classify", "--tnorm", "M", "--conorm", "osum_strict:" + "9" * 5000], 5012),
+        (["classify", "--tnorm", "M", "--conorm", "q" * 5000], 5000),
+        (["classify", "--tnorm", "q" * 5000, "--conorm", "plus"], 5000),
+        (["check", "--tnorm", "M", "--conorm", "plus", "--law", "q" * 5000], 5000),
+    ],
+    ids=["conorm-parameter", "conorm-name", "tnorm-name", "law-name"],
+)
+def test_over_long_input_is_reported_by_its_length(capsys, argv, length):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert f"<{length} characters>" in err and len(err) < 200
+
+
 def test_catalog_lists_all_families(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

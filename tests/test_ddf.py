@@ -211,3 +211,12 @@ def test_plddf_constructor_rejects_non_canonical():
     with pytest.raises(ValueError):  # f(0) must be 0
         PLDDF(((EXT_ZERO, half, half), (ext(1), UNIT_ONE, UNIT_ONE)))
     assert PLDDF(((ext(1), half, half),)).value_at(ext(2)) == half
+
+
+@pytest.mark.parametrize(
+    "line", ["jump 1 " + "x" * 5000, "jump " + "1 " * 2500 + "1", "jump 1 " + "9" * 4000 + "/1"]
+)
+def test_over_long_lines_are_reported_by_their_length(line):
+    with pytest.raises(DdfParseError) as err:
+        parse_ddf(f"DDF v1\n{line}\n")
+    assert "characters>" in str(err.value) and len(str(err.value)) < 200

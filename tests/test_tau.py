@@ -21,7 +21,9 @@ from deltaplus.tau import (
     tau_d_closed_form,
     tau_raw_at,
 )
-from deltaplus.tconorms import TConormDesc, catalog_tconorm, catalog_tconorm_spec
+from deltaplus.tconorms import (
+    TConormDesc, catalog_tconorm, catalog_tconorm_spec, squash, unsquash,
+)
 from deltaplus.tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
 SEED = 424242
@@ -415,3 +417,31 @@ def test_drastic_raw_evaluation_takes_no_conorm(monkeypatch):
     assert raw == _reference_raw_at(M, drastic, f, g, ext(3))
     assert (regularized, profile_probes) == (EPS_INF, probes)
     assert values == [_reference_raw_at(M, drastic, f, g, x) for x in probes]
+
+
+def _pushed_through_squash(f: DDF) -> DDF:
+    # f composed with unsquash: each jump moves to squash(x), and f(inf) = 1
+    # becomes a jump to 1 at 1 = squash(inf).
+    return canonicalize([(ext(squash(x)), p) for x, p in f.jumps] + [(ext(1), UNIT_ONE)])
+
+
+@pytest.mark.parametrize("name", TNORM_NAMES)
+def test_nilpotent_conorm_is_truncated_addition_seen_through_squash(name):
+    # nilpotent_rat(u, v) = unsquash(min(squash u + squash v, 1)), the summand
+    # of osum_trunc:1 conjugated by squash, so tau under it at x is tau under
+    # osum_trunc:1 at squash(x) on the pushed operands.  The two entries
+    # differ in end, generator and max part, so each checks the other.
+    t = catalog_tnorm(name)
+    nilpotent, trunc = catalog_tconorm("nilpotent_rat"), catalog_tconorm("osum_trunc", 1)
+    rng = random.Random(SEED)
+    for _ in range(150):
+        f, g = _random_ddf(CFG, rng), _random_ddf(CFG, rng)
+        reg, raw_at, probes = closure_profile(t, nilpotent, f, g)
+        reg_s, raw_at_s, probes_s = closure_profile(
+            t, trunc, _pushed_through_squash(f), _pushed_through_squash(g)
+        )
+        points = set(probes) | {unsquash(s.finite) for s in probes_s if s.finite < 1}
+        for x in points:
+            s = ext(squash(x))
+            assert reg.value_at(x) == reg_s.value_at(s)
+            assert raw_at(x) == raw_at_s(s)

@@ -7,6 +7,7 @@ import pytest
 from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext, ext_add, ext_max, ext_min
 from deltaplus.tconorms import (
     CatalogError,
+    TConormTraits,
     _sample_pool,
     catalog_tconorm,
     catalog_tconorm_spec,
@@ -312,3 +313,23 @@ def test_generated_summand_matches_the_hand_written_formulas(spec):
         for a, a_hi, b, b_hi in product(points, repeat=4):
             if a < a_hi and b < b_hi:
                 assert l.cell_inf_attained(a, b, a_hi, b_hi) == attained(a, b, a_hi, b_hi)
+
+
+# The traits the catalog declared by hand before _ordinal_sum derived them,
+# kept verbatim.
+_REFERENCE_TRAITS = {
+    "plus": TConormTraits(True, True, True, True, True, True),
+    "nilpotent_rat": TConormTraits(True, True, True, False, True, True),
+    "osum_trunc": TConormTraits(True, True, True, False, False, False),
+    "osum_strict": TConormTraits(True, True, True, True, True, False),
+}
+
+TRAIT_SPECS = ["plus", "nilpotent_rat"] + [
+    f"{family}:{p}" for family in ("osum_trunc", "osum_strict") for p in ("1/3", "1", "3/2", "2", "5")
+]
+
+
+@pytest.mark.parametrize("spec", TRAIT_SPECS)
+def test_derived_traits_match_the_hand_written_ones(spec):
+    name = spec.partition(":")[0]
+    assert catalog_tconorm_spec(spec).declared == _REFERENCE_TRAITS[name]

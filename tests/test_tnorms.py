@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 import pytest
 
@@ -9,10 +10,14 @@ from deltaplus.tnorms import (
     TNORM_NAMES,
     CatalogError,
     TNormDesc,
+    TNormTraits,
+    _check_point_continuity,
+    _random_unit,
     catalog_tnorm,
     check_left_continuity,
     check_tnorm_axioms,
     check_weak_left_continuity,
+    limit_along,
 )
 
 BUDGET = 300
@@ -138,3 +143,109 @@ def test_identity_spot_check_on_declared_entries():
         if t.declared.has_one_identity:
             for q in pool:
                 assert t(UnitRat(q), UNIT_ONE) == UnitRat(q)
+
+
+# The dyadic refinement that the exact rule replaced, kept verbatim as a
+# sampled falsifier: it reads only fn, so it also checks the declared
+# continuity of the curve-less M, Pi and W.
+REFINE_DEPTH = 20
+_GAP_FLOOR = Fraction(1, 2**REFINE_DEPTH)
+
+
+def _approach_probes(
+    x: UnitRat, y: UnitRat, k: int, region: str
+) -> Iterable[tuple[UnitRat, UnitRat]]:
+    delta = Fraction(1, 2**k)
+    if region == "weak":
+        if y.value - delta >= 0:
+            yield x, UnitRat(y.value - delta)
+        if x.value - delta >= 0:
+            yield UnitRat(x.value - delta), y
+    if x.value - delta >= 0 and y.value - delta >= 0:
+        yield UnitRat(x.value - delta), UnitRat(y.value - delta)
+
+
+def _reference_point_continuity(t: TNormDesc, x: UnitRat, y: UnitRat, region: str) -> bool:
+    """True when the sup over the approach region reaches t(x, y).
+
+    The approach region is the open quadrant {u<x, v<y} for ``left`` and
+    the L-shaped set {u<=x, v<y} or {u<x, v<=y} for ``weak``.  For a
+    monotone operation the sup equals the limit along the probed edges, so
+    the dyadic refinement below converges to it; a genuine discontinuity
+    shows up as a gap that stops shrinking.
+    """
+    target = t(x, y).value
+    best = Fraction(0)
+    prev_best = Fraction(-1)
+    for k in range(1, REFINE_DEPTH + 1):
+        prev_best = best
+        for u, v in _approach_probes(x, y, k, region):
+            value = t(u, v).value
+            if value > best:
+                best = value
+        if best >= target:
+            return True
+    gap = target - best
+    if gap < _GAP_FLOOR:
+        return True
+    # Persistent gap: the final refinement brought no improvement.
+    return best != prev_best
+
+
+def _classify_points(t: TNormDesc, seed: int, budget: int = 400):
+    # The points the continuity checkers visit at classify's default budget.
+    rng = random.Random(seed)
+    points = [(x, y) for x, y in t.boundary_probes if x.value and y.value]
+    for _ in range(budget):
+        x = _random_unit(rng, positive=True)
+        points.append((x, _random_unit(rng, positive=True)))
+    return points
+
+
+@pytest.mark.parametrize("name", TNORM_NAMES)
+def test_exact_rule_agrees_with_the_dyadic_refinement(name):
+    t = catalog_tnorm(name)
+    points = {p for seed in range(3) for p in _classify_points(t, seed)}
+    for region in ("weak", "left"):
+        for x, y in points:
+            expected = _reference_point_continuity(t, x, y, region)
+            assert _check_point_continuity(t, x, y, region) == expected, (x, y, region)
+
+
+def _sides(t: TNormDesc, x: UnitRat, y: UnitRat) -> tuple[int, ...]:
+    offsets = (alpha * x.value + beta * y.value - gamma for alpha, beta, gamma in t.curves)
+    return tuple((q > 0) - (q < 0) for q in offsets)
+
+
+@pytest.mark.parametrize("name", ["nM", "D", "nM_hat"])
+def test_branch_equals_fn_on_every_region_and_curve(name):
+    # The checkers read branch; this keeps fn, which the miner and tau read,
+    # the same operation.
+    t = catalog_tnorm(name)
+    grid = [unit(k, 80) for k in range(81)]
+    for x, y in product(grid, repeat=2):
+        assert t.branch(x, y, _sides(t, x, y)) == t(x, y), (x, y)
+
+
+def test_limits_along_directions():
+    nM, nM_hat, D = catalog_tnorm("nM"), catalog_tnorm("nM_hat"), catalog_tnorm("D")
+    half = unit(1, 2)
+    assert limit_along(nM, half, half, -1, -1) == unit(0)
+    assert limit_along(nM, half, half, 1, 0) == half
+    assert limit_along(nM_hat, half, half, 0, -1) == unit(0)
+    assert limit_along(nM_hat, half, half, 1, -1) == half  # along the curve
+    assert limit_along(D, UNIT_ONE, half, 0, -1) == half
+    assert limit_along(D, UNIT_ONE, half, -1, -1) == unit(0)
+    assert limit_along(catalog_tnorm("Pi"), half, half, -1, -1) == unit(1, 4)
+
+
+@pytest.mark.parametrize(
+    "declared",
+    [None, TNormTraits(True, True, True, True, True, True, False)],
+    ids=["black-box", "declared-discontinuous"],
+)
+def test_continuity_of_an_operation_without_curves_is_refused(declared):
+    t = TNormDesc("mystery", lambda x, y: x if x.value <= y.value else y, declared)
+    for check in (check_weak_left_continuity, check_left_continuity):
+        with pytest.raises(ValueError, match="mystery"):
+            check(t, BUDGET, SEED)
