@@ -14,22 +14,23 @@ and probes from one grid (:func:`deltaplus.tau.closure_profile`).
 
 :func:`check_law` and the miner each feed one stream of cases, each case
 a list of ``(law, operands)`` checks, through one budgeted loop that
-stops at the first failure.  The miner's stream interleaves all laws over
-structured candidates first -- unit-step and constant-level families,
-two-step functions straddling the t-norm's discontinuity curves, steps
-straddling the conorm's idempotents and caps, and staircase
-approximations of linear ramps.  Under the maximum, closure then runs on
-pairs of genuine ramps (see :mod:`deltaplus.ramps`): a step function
-reaches a level only strictly after its jump, so it never approaches a
+stops at the first failure.  The miner's stream first runs the cheap laws
+(closure, commutativity, identity) over pairs of structured candidates --
+unit-step and constant-level families, two-step functions straddling the
+t-norm's discontinuity curves, and steps straddling the conorm's
+idempotents and caps.  Under the maximum, closure then runs on pairs of
+genuine ramps (see :mod:`deltaplus.ramps`): a step function reaches a
+level only strictly after its jump, so it never approaches a
 discontinuity curve of T from below, and the defect of a t-norm that is
 not left continuous shows only on strictly increasing operands.  A ramp
 witness records the split where the raw value is attained, and
-:func:`reverify` checks it along a second path.  Random drift with
-escalating jump counts comes last.  A miss on a pair the classifier
-rejects is reported as inconclusive, never as a pass: the theory
-guarantees a counterexample among general distribution functions, not
-among the operands this miner draws.  Ramps under other conorms are not
-drawn yet, so ``(nM_hat, plus)`` stays inconclusive.
+:func:`reverify` checks it along a second path.  Associativity over the
+candidate pairs follows, and random drift with escalating jump counts
+comes last.  A miss on a pair the classifier rejects is reported as
+inconclusive, never as a pass: the theory guarantees a counterexample
+among general distribution functions, not among the operands this miner
+draws.  Ramps under other conorms are not drawn yet, so
+``(nM_hat, plus)`` stays inconclusive.
 """
 
 from __future__ import annotations
@@ -347,14 +348,6 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
     return any(violated(*values(x)[:2]) for values, _, _ in sides(t, l, *witness.operands))
 
 
-def _staircase(a: Fraction, top: Fraction, steps: int) -> DDF:
-    # Increasing staircase under the ramp of slope top/a on [0, a].
-    jumps = tuple(
-        (ExtRat(a * k / steps), UnitRat(top * k / steps)) for k in range(1, steps + 1)
-    )
-    return DDF(jumps)
-
-
 def _caps(l: TConormDesc) -> set[Fraction]:
     # The conorm's parameter and its finite positive idempotents.
     caps = {h.finite for h in l.idempotent_hints if not h.is_infinite and h.finite > 0}
@@ -375,8 +368,7 @@ def _probe_levels(t: TNormDesc, probes: int | None = None) -> set[Fraction]:
 def _structured_candidates(t: TNormDesc, l: TConormDesc) -> list[DDF]:
     """Seeds for the miner: families the theory's failure modes point at."""
     abscissae: set[Fraction] = {Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)}
-    caps = _caps(l)
-    for c in caps:
+    for c in _caps(l):
         abscissae.update(
             (c / 2, 3 * c / 4, 9 * c / 10, 19 * c / 20, c, 21 * c / 20, 3 * c / 2)
         )
@@ -389,10 +381,6 @@ def _structured_candidates(t: TNormDesc, l: TConormDesc) -> list[DDF]:
         candidates.append(
             DDF(((ExtRat(Fraction(1)), UnitRat(lo)), (ExtRat(Fraction(2)), UnitRat(hi))))
         )
-    # Staircase approximations of ramps reaching level 1/2.
-    for a in sorted(caps | {Fraction(1), Fraction(2)}):
-        for steps in (4, 8):
-            candidates.append(_staircase(a, Fraction(1, 2), steps))
     return candidates
 
 
@@ -412,9 +400,14 @@ def _ramp_candidates(t: TNormDesc, l: TConormDesc) -> list[PLDDF]:
 
 def _mining_cases(t: TNormDesc, l: TConormDesc, cfg: RandomDDFConfig, rng: random.Random):
     """The miner's case stream, each case a list of ``(law, operands)``."""
+    # Imported on first use, which keeps the package's own import light.
+    from . import ramps
+
     seeds = _structured_candidates(t, l)
-    # All candidate pairs through the cheap laws, then through
-    # associativity with their pointwise maximum as third operand.
+    ramp_seeds = _ramp_candidates(t, l) if ramps.supports(l) else []
+    # All candidate pairs through the cheap laws, then closure on pairs of
+    # ramps, then the candidate pairs through associativity with their
+    # pointwise maximum as third operand.
     # Identity needs f alone, so it runs at f's first pair only.
     # Commutativity runs only for i < j: with f = g it cannot fail, and the
     # mirrored pair (g, f) came earlier.
@@ -427,15 +420,10 @@ def _mining_cases(t: TNormDesc, l: TConormDesc, cfg: RandomDDFConfig, rng: rando
             identity_done.add(f)
             checks.append(("identity", (f,)))
         yield checks
-    for f, g in product(seeds, repeat=2):
-        yield [("associativity", (f, g, _pointwise_max(f, g)))]
-
-    # Closure on pairs of ramps, where the conorm supports them.
-    from . import ramps
-
-    ramp_seeds = _ramp_candidates(t, l) if ramps.supports(l) else []
     for f, g in product(ramp_seeds, repeat=2):
         yield [("closure", (f, g))]
+    for f, g in product(seeds, repeat=2):
+        yield [("associativity", (f, g, _pointwise_max(f, g)))]
 
     # Random drift, laws in a fixed rotation, jump counts escalating with
     # the overall case number.
@@ -453,9 +441,10 @@ def mine_counterexample(
     budget: int,
     seed: int,
 ) -> LawReport:
-    """Interleave every law over structured candidates, then closure on
-    pairs of ramps where the conorm supports them, then random drift with
-    escalating jump counts; first failure wins."""
+    """The cheap laws over pairs of structured candidates, then closure on
+    pairs of ramps where the conorm supports them, then associativity over
+    the candidate pairs, then random drift with escalating jump counts;
+    first failure wins."""
     cases = _mining_cases(t, l, cfg, random.Random(seed))
     ran, witness = _first_failure(t, l, cases, budget)
     if witness is not None:

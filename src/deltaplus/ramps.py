@@ -141,9 +141,13 @@ def closure_values(
     a pair (u, v) with L(u, v) = x at which T(f(u), g(v)) is the raw value."""
     _require_supported(l)
     a, b = f.value_at(x), g.value_at(x)
+    raw = t(a, b)
+    if not t.curves:
+        # Without curves T is continuous: its limit is the raw value.
+        return raw, raw, (x, x)
     df, dg = (h.left_piece(x.finite)[2] for h in (f, g))
     # The segment into (a, b) comes from the side its slope leaves.
-    return limit_along(t, a, b, -df, -dg), t(a, b), (x, x)
+    return limit_along(t, a, b, -df, -dg), raw, (x, x)
 
 
 def closure_probes(t: TNormDesc, f: Operand, g: Operand) -> list[ExtRat]:

@@ -129,10 +129,6 @@ def ext_cmp(a: ExtRat, b: ExtRat) -> int:
     return -1 if a.finite < b.finite else 1
 
 
-def ext_min(a: ExtRat, b: ExtRat) -> ExtRat:
-    return a if ext_cmp(a, b) <= 0 else b
-
-
 def ext_max(a: ExtRat, b: ExtRat) -> ExtRat:
     return a if ext_cmp(a, b) >= 0 else b
 

@@ -25,12 +25,12 @@ predicate for the latter.
 grid, takes L at every lower corner once, and returns the regularized
 operation, a raw evaluator for every x and the probe abscissae, all read
 from that one corner matrix.  :func:`tau_raw_at` reads the same grid and
-corner matrix but builds no probes; :func:`corner_images` and
-:func:`probe_abscissae` read the same corner matrix.  :func:`tau` walks
-only the staircase: for a monotone T the values and corner images rise
-along every row of the grid, so a merge of the rows by corner image
-that keeps the running maximum visits only cells that can still raise
-it, and its cost follows the output, not the grid.  For any other T it reads
+corner matrix but builds no probes; :func:`probe_abscissae` reads the
+same corner matrix.  :func:`tau` walks only the staircase: for a
+monotone T the values and corner images rise along every row of the
+grid, so a merge of the rows by corner image that keeps the running
+maximum visits only cells that can still raise it, and its cost follows
+the output, not the grid.  For any other T it reads
 the regularized operation off :func:`closure_profile`.
 
 The drastic conorm is the one catalog entry the corner rule cannot serve
@@ -192,18 +192,9 @@ def _finite_images(corners: list[list[ExtRat]]) -> set[ExtRat]:
     return {c for row in corners for c in row if not c.is_infinite}
 
 
-def corner_images(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
-    """Sorted finite images of the grid's lower corners under L.
-
-    Every cut list starts at 0, so under the drastic conorm these are the
-    cuts of both operands.
-    """
-    return sorted(_finite_images(_corner_matrix(l, f, g)), key=lambda e: e.finite)
-
-
 def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
     """Corner images, midpoints between consecutive ones, and one beyond."""
-    return probe_points(c.finite for c in corner_images(l, f, g))
+    return probe_points(c.finite for c in _finite_images(_corner_matrix(l, f, g)))
 
 
 def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitRat:

@@ -290,21 +290,6 @@ def check_LCS(l: TConormDesc, budget: int, seed: int) -> Verdict:
     return _equal_corners(l, budget, seed, finite_only=True)
 
 
-def check_LS(l: TConormDesc, budget: int, seed: int) -> Verdict:
-    """Search for u<u', v<v' with L(u,v) = L(u',v') (finite or not)."""
-    return _equal_corners(l, budget, seed, finite_only=False)
-
-
-def idempotents(l: TConormDesc, grid: set[ExtRat] | frozenset[ExtRat]) -> set[ExtRat]:
-    """Fixed points of the diagonal among grid and hinted elements; the
-    endpoints 0 and infinity always qualify."""
-    found = {EXT_ZERO, EXT_INF}
-    for x in set(grid) | set(l.idempotent_hints):
-        if l(x, x) == x:
-            found.add(x)
-    return found
-
-
 def is_archimedean(l: TConormDesc, budget: int, seed: int) -> Verdict:
     """Pass means Archimedean.  A Fail verdict carries an interior
     idempotent element as its witness.

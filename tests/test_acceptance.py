@@ -10,9 +10,10 @@ and regularized operations coincide for every cataloged conorm whose
 cell images never attain their infimum, and all seven laws then hold
 exactly for any monotone commutative associative [0,1] operation.  The
 defect of those pairs appears only on strictly increasing operands.
-Under max the miner draws piecewise-linear ramps after its step
-candidates, so (D, max) gets a closure witness on two ramps, checked at
-its recorded split and by extrapolation on the last linear piece.  The
+Under max the miner draws pairs of piecewise-linear ramps right after
+the cheap laws on its step candidates, before associativity, so (D, max)
+and (nM_hat, max) get a closure witness on two ramps, checked at its
+recorded split and by extrapolation on the last linear piece.  The
 (nM_hat, plus) row stays red: ramps under plus are not drawn yet, and
 the miner reports inconclusive rather than fabricating a witness; see
 the package README.
@@ -47,7 +48,6 @@ from deltaplus.tau import (
 from deltaplus.tconorms import (
     catalog_tconorm_spec,
     check_LCS,
-    check_LS,
 )
 from deltaplus.tnorms import (
     TNORM_NAMES,
@@ -55,6 +55,8 @@ from deltaplus.tnorms import (
     check_left_continuity,
     check_weak_left_continuity,
 )
+
+from helpers import check_LS
 
 CONORM_SPECS = ("max", "plus", "nilpotent_rat", "drastic", "osum_trunc:2", "osum_strict:2")
 
@@ -75,6 +77,17 @@ NECESSITY_PAIRS = (
     ("D", "max"),
     ("M", "osum_trunc:2"),
     ("M", "drastic"),
+    ("Pi", "drastic"),
+    ("W", "drastic"),
+    ("nM", "drastic"),
+    ("D", "drastic"),
+    ("nM_hat", "drastic"),
+    ("Pi", "osum_trunc:2"),
+    ("W", "osum_trunc:2"),
+    ("nM", "osum_trunc:2"),
+    ("D", "osum_trunc:2"),
+    ("nM_hat", "osum_trunc:2"),
+    ("nM_hat", "max"),
 )
 
 LAWFUL_LAWS = ("closure", "commutativity", "associativity", "identity", "monotonicity")

@@ -124,6 +124,13 @@ def test_mine_fails_with_exit_two_and_witness(capsys):
     assert "witness law=closure" in out
 
 
+def test_mine_finds_the_ramp_witness_at_the_default_budget(capsys):
+    code, out, _ = run(capsys, "mine", "--tnorm", "D", "--conorm", "max")
+    assert code == 2
+    assert out.startswith("FAIL D,max law=closure")
+    assert "split u=1 v=1" in out
+
+
 def test_mine_output_is_deterministic(capsys):
     args = ("mine", "--tnorm", "M", "--conorm", "drastic", "--budget", "300", "--seed", "9",
             "--output", "records")

@@ -1,19 +1,22 @@
 import random
 import sys
+from itertools import islice
 
 import pytest
 
-from deltaplus.ddf import parse_ddf
+from deltaplus.ddf import DDF, parse_ddf
 from deltaplus.lawcheck import (
     LAWS,
     RandomDDFConfig,
     _case,
+    _mining_cases,
     check_law,
     mine_counterexample,
     random_ddf,
     reverify,
     serialize_report,
 )
+from deltaplus.ramps import PLDDF
 from deltaplus.rationals import UnitRat
 from deltaplus.tconorms import catalog_tconorm_spec
 from deltaplus.tnorms import TNormDesc, catalog_tnorm
@@ -101,6 +104,25 @@ def test_mine_is_inconclusive_when_no_step_witness_exists():
         t, l = _pair(tn, ln)
         report = mine_counterexample(t, l, CFG, 150, SEED)
         assert report.verdict == "inconclusive"
+
+
+def test_miner_runs_cheap_laws_then_ramps_then_associativity_then_drift():
+    # (M, max) has 20 step seeds and 8 ramp seeds.
+    t, l = _pair("M", "max")
+    cases = list(islice(_mining_cases(t, l, CFG, random.Random(SEED)), 871))
+
+    def laws(chunk):
+        return {law for checks in chunk for law, _ in checks}
+
+    def carriers(chunk):
+        return {type(op) for checks in chunk for _, operands in checks for op in operands}
+
+    cheap, ramp_pairs, assoc, drift = cases[:400], cases[400:464], cases[464:864], cases[864:]
+    assert laws(cheap) == {"closure", "commutativity", "identity"}
+    assert carriers(cheap) == {DDF}
+    assert laws(ramp_pairs) == {"closure"} and carriers(ramp_pairs) == {PLDDF}
+    assert laws(assoc) == {"associativity"} and carriers(assoc) == {DDF}
+    assert [law for (law, _), in drift] == list(LAWS)
 
 
 def test_fail_reports_replay_byte_identically():
@@ -237,13 +259,13 @@ operand slot=1 ddf=DDF v1\njump 0 1\n
 operand slot=2 ddf=DDF v1\njump 0 6/7\n
 """,
     ("mine", "M", "osum_trunc:2", "all"): r"""
-report tnorm=M tconorm=osum_trunc:2 law=closure verdict=fail cases=59 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+report tnorm=M tconorm=osum_trunc:2 law=closure verdict=fail cases=47 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
 witness law=closure x=2 lhs=0 rhs=1 detail=regularized vs raw value
 operand slot=0 ddf=DDF v1\njump 1/2 1\n
 operand slot=1 ddf=DDF v1\njump 3/2 1\n
 """,
     ("mine", "M", "drastic", "all"): r"""
-report tnorm=M tconorm=drastic law=identity verdict=fail cases=17 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+report tnorm=M tconorm=drastic law=identity verdict=fail cases=13 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
 witness law=identity x=1 lhs=0 rhs=1 detail=tau(f, unit step at 0) vs f
 operand slot=0 ddf=DDF v1\njump 0 1\n
 """,
@@ -254,30 +276,30 @@ operand slot=0 ddf=DDF v1\n
 operand slot=1 ddf=DDF v1\njump 0 1\n
 """,
     ("mine", "mean", "plus", "all"): r"""
-report tnorm=mean tconorm=plus law=associativity verdict=fail cases=360 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+report tnorm=mean tconorm=plus law=associativity verdict=fail cases=224 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
 witness law=associativity x=1 lhs=9/64 rhs=11/64 detail=tau(tau(f,g),h) vs tau(f,tau(g,h))
 operand slot=0 ddf=DDF v1\njump 0 1/4\n
 operand slot=1 ddf=DDF v1\njump 0 1/2\n
 operand slot=2 ddf=DDF v1\njump 0 1/2\n
 """,
     ("mine", "sevenths", "plus", "all"): r"""
-report tnorm=sevenths tconorm=plus law=commutativity verdict=fail cases=521 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
-witness law=commutativity x=37/16 lhs=1/7 rhs=1/4 detail=tau(f,g) vs tau(g,f)
-operand slot=0 ddf=DDF v1\njump 5/4 4/7\n
-operand slot=1 ddf=DDF v1\njump 0 1/7\njump 1 1/4\njump 9/8 1/3\njump 8/7 3/8\njump 9/4 1/2\njump 3 3/4\njump 22/7 1\n
+report tnorm=sevenths tconorm=plus law=commutativity verdict=fail cases=311 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=commutativity x=9/2 lhs=1/3 rhs=5/21 detail=tau(f,g) vs tau(g,f)
+operand slot=0 ddf=DDF v1\njump 0 1/3\njump 1 1/2\njump 2 3/5\njump 10/3 2/3\njump 27/8 1\n
+operand slot=1 ddf=DDF v1\njump 4 5/7\n
 """,
-    # Random drift: the third drift case, after 1152 structured step cases
+    # Random drift: the ninth drift case, after 800 structured step cases
     # and 64 ramp pairs, so it pins where drift starts and the law rotation.
     ("mine", "sevenths", "max", "all"): r"""
-report tnorm=sevenths tconorm=max law=associativity verdict=fail cases=1219 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
-witness law=associativity x=9/8 lhs=9/56 rhs=3/28 detail=tau(tau(f,g),h) vs tau(f,tau(g,h))
-operand slot=0 ddf=DDF v1\njump 3/4 3/7\n
-operand slot=1 ddf=DDF v1\njump 5/6 1/3\njump 1 3/8\njump 5/4 3/7\njump 11/6 1/2\njump 2 3/4\njump 3 7/8\njump 4 1\n
-operand slot=2 ddf=DDF v1\njump 1 1/4\njump 11/7 1/2\njump 18/5 5/7\njump 4 1\n
+report tnorm=sevenths tconorm=max law=commutativity verdict=fail cases=873 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=commutativity x=3/8 lhs=2/7 rhs=5/28 detail=tau(f,g) vs tau(g,f)
+operand slot=0 ddf=DDF v1\njump 0 5/8\njump 8/7 6/7\n
+operand slot=1 ddf=DDF v1\njump 0 1/6\njump 1/4 2/7\njump 1/2 1/2\njump 1 2/3\njump 9/8 3/4\njump 2 4/5\njump 9/4 6/7\njump 4 1\n
 """,
-    # Ramp pairs: a closure witness with its split and v2 operands.
+    # Ramp pairs, right after the 484 cheap-law step cases: a closure
+    # witness with its split and v2 operands.
     ("mine", "D", "max", "all"): r"""
-report tnorm=D tconorm=max law=closure verdict=fail cases=1362 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+report tnorm=D tconorm=max law=closure verdict=fail cases=494 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
 witness law=closure x=1 lhs=0 rhs=1/8 u=1 v=1 detail=regularized vs raw value
 operand slot=0 ddf=DDF v2\nramp 0 1 1/8\n
 operand slot=1 ddf=DDF v2\nramp 0 1 1\n

@@ -7,6 +7,7 @@ from deltaplus.ddf import DdfParseError, make_v, parse_ddf, serialize
 from deltaplus.lawcheck import (
     LawWitness,
     RandomDDFConfig,
+    _case,
     _ramp_candidates,
     mine_counterexample,
     reverify,
@@ -21,7 +22,7 @@ from deltaplus.ramps import (
 from deltaplus.rationals import EXT_INF, UnitRat, ext, unit
 from deltaplus.tau import UnsupportedPairError
 from deltaplus.tconorms import catalog_tconorm_spec
-from deltaplus.tnorms import TNORM_NAMES, catalog_tnorm
+from deltaplus.tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
 MAX = catalog_tconorm_spec("max")
 CFG = RandomDDFConfig(max_jumps=4, abscissa_pool=8, value_pool=8)
@@ -91,6 +92,21 @@ def test_lawful_max_pairs_show_no_gap_on_ramps(tn):
         for x in closure_probes(t, f, g):
             reg, raw, _ = closure_values(t, MAX, f, g, x)
             assert reg == raw, (tn, str(f), str(g), x)
+
+
+def test_a_tnorm_without_curves_is_called_once_per_ramp_probe(monkeypatch):
+    t = catalog_tnorm("M")
+    call = TNormDesc.__call__
+    calls = []
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return call(self, x, y)
+
+    monkeypatch.setattr(TNormDesc, "__call__", counted)
+    f, g = _ramp_candidates(t, MAX)[1:3]
+    assert _case(t, MAX, "closure", (f, g)) is None
+    assert len(calls) == len(closure_probes(t, f, g))
 
 
 @pytest.mark.parametrize("tn", TNORM_NAMES)

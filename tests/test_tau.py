@@ -13,7 +13,6 @@ from deltaplus.tau import (
     _require_supported,
     build_grid,
     closure_profile,
-    corner_images,
     grid_oracle_tau_at,
     level_split_witness,
     probe_abscissae,
@@ -25,6 +24,8 @@ from deltaplus.tconorms import (
     TConormDesc, catalog_tconorm, catalog_tconorm_spec, squash, unsquash,
 )
 from deltaplus.tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
+
+from helpers import corner_images
 
 SEED = 424242
 CFG = RandomDDFConfig(max_jumps=5, abscissa_pool=8, value_pool=8)

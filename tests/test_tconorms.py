@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext, ext_add, ext_max, ext_min
+from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext, ext_add, ext_max
 from deltaplus.tconorms import (
     CatalogError,
     TConormTraits,
@@ -12,13 +12,13 @@ from deltaplus.tconorms import (
     catalog_tconorm,
     catalog_tconorm_spec,
     check_LCS,
-    check_LS,
     check_tconorm_axioms,
-    idempotents,
     is_archimedean,
     squash,
     unsquash,
 )
+
+from helpers import check_LS, ext_min, idempotents
 
 BUDGET = 300
 SEED = 20240811
