@@ -147,16 +147,19 @@ def _random_ddf(cfg: RandomDDFConfig, rng: random.Random) -> DDF:
         return DDF(())
     xs: set[Fraction] = set()
     ps: set[Fraction] = set()
-    # Attempt caps keep tiny pools from stalling; fewer jumps are fine.
-    for _ in range(64 * count):
+    # Attempt caps keep tiny pools from stalling; fewer jumps are fine.  A
+    # pool has only K (numerator, denominator) pairs to draw, so a count
+    # above K is capped at K and a huge max_jumps cannot hang.
+    a, v = cfg.abscissa_pool, cfg.value_pool
+    for _ in range(64 * min(count, a * (2 * a + 3))):
         if len(xs) >= count:
             break
-        den = rng.randint(1, cfg.abscissa_pool)
+        den = rng.randint(1, a)
         xs.add(Fraction(rng.randint(0, 4 * den), den))
-    for _ in range(64 * count):
+    for _ in range(64 * min(count, v * (v + 1) // 2)):
         if len(ps) >= count:
             break
-        den = rng.randint(1, cfg.value_pool)
+        den = rng.randint(1, v)
         ps.add(Fraction(rng.randint(1, den), den))
     jumps = tuple(
         (ExtRat(x), UnitRat(p)) for x, p in zip(sorted(xs), sorted(ps))

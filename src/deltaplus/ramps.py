@@ -15,8 +15,8 @@ supremum over { max(u, v) = x } is attained at u = v = x, so the raw
 value at x is T(f(x), g(x)); the supremum over { max(u, v) < x } is the
 left limit at x of s -> T(f(s), g(s)): T's limit at (f(x), g(x)) along
 the last linear piece left of x, :func:`~deltaplus.tnorms.limit_along`.
-A closure case probes the operands' breakpoints, the midpoints between
-them, one point beyond, and the points where (f(s), g(s)) crosses a curve.
+A closure case probes the :func:`~deltaplus.ddf.probe_points` of the
+operands' breakpoints but 0, and the points where (f(s), g(s)) crosses a curve.
 
 :func:`regularized_by_extrapolation` recomputes the regularized value
 along a second path that reads neither the curves nor the formulas, for
@@ -32,11 +32,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ddf import DDF, serialize
+from .ddf import DDF, probe_points, serialize
 from .rationals import UNIT_ONE, UNIT_ZERO, ExtRat, UnitRat
 from .tau import UnsupportedPairError
 from .tconorms import TConormDesc
-from .tnorms import TNormDesc, limit_along
+from .tnorms import FORMULA_LINES, TNormDesc, limit_along
 
 # (x, f(x), f(x+)): the value at a knot and the value just after it.
 Knot = tuple[ExtRat, UnitRat, UnitRat]
@@ -116,13 +116,6 @@ class PLDDF:
 Operand = DDF | PLDDF
 
 
-# Lines on which some catalog t-norm changes formula: a = b, a + b = 1,
-# a = 1 and b = 1, as (alpha, beta, gamma) for alpha*a + beta*b = gamma.
-# Along a segment that meets none of them, T(f(s), g(s)) is a polynomial
-# of degree at most 2 in s.
-_FORMULA_LINES = ((1, -1, 0), (1, 1, 1), (1, 0, 1), (0, 1, 1))
-
-
 def supports(l: TConormDesc) -> bool:
     return l.name == "max"
 
@@ -151,11 +144,10 @@ def closure_values(
 
 
 def closure_probes(t: TNormDesc, f: Operand, g: Operand) -> list[ExtRat]:
-    """Breakpoints, midpoints, one point beyond, and curve crossings."""
+    """The breakpoints' probe points but 0, and the curve crossings."""
     cuts = sorted({Fraction(0)} | {x.finite for h in (f, g) for x in h.breakpoints})
-    points = set(cuts[1:]) | {cuts[-1] + 1}
+    points = {p.finite for p in probe_points(cuts)[1:]}
     for lo, hi in zip(cuts, cuts[1:]):
-        points.add((lo + hi) / 2)
         _, _, df = f.left_piece(hi)
         _, _, dg = g.left_piece(hi)
         end = ExtRat(hi)
@@ -193,7 +185,7 @@ def regularized_by_extrapolation(
     mid = (s0 + x.finite) / 2
     (fm, gm), (fx, gx) = pair(mid), pair(x.finite)
     start = s0
-    for alpha, beta, gamma in _FORMULA_LINES:
+    for alpha, beta, gamma in FORMULA_LINES:
         at_mid = alpha * fm.value + beta * gm.value - gamma
         at_x = alpha * fx.value + beta * gx.value - gamma
         if at_mid != at_x:

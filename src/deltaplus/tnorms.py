@@ -3,10 +3,10 @@
 Each entry bundles an exact rational evaluator with declared flags
 (commutativity, associativity, identity, monotonicity, and the three
 continuity grades) plus, for piecewise definitions, the discontinuity
-curves themselves, exact probe points on them, and the operation's
-continuous formula on each side of them.  The ``check_*`` functions
-falsify or support those flags; declared metadata must survive the
-falsification suite.
+curves themselves and the operation's continuous formula on each side of
+them.  The exact probe points on the curves are derived from them.  The
+``check_*`` functions falsify or support those flags; declared metadata
+must survive the falsification suite.
 
 Continuity is decided exactly from the declared curves.  Off them T is one
 continuous formula per region (``branch``, equal to ``fn`` there), so its
@@ -20,8 +20,9 @@ on their declared flag.  A descriptor with neither is refused.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -35,9 +36,14 @@ Curve = tuple[int, int, int]
 # declared curves, extended continuously to the point (a, b).
 BranchFn = Callable[[UnitRat, UnitRat, tuple[int, ...]], UnitRat]
 
+DIAGONAL: Curve = (1, -1, 0)
 ANTIDIAGONAL: Curve = (1, 1, 1)
 RIGHT_EDGE: Curve = (1, 0, 1)
 TOP_EDGE: Curve = (0, 1, 1)
+# Every line on which a catalog t-norm changes formula: the curves, and
+# a = b where the minimum switches argument.  Along a segment that meets
+# none of them, T(f(s), g(s)) is a polynomial of degree at most 2 in s.
+FORMULA_LINES = (DIAGONAL, ANTIDIAGONAL, RIGHT_EDGE, TOP_EDGE)
 
 
 @dataclass(frozen=True)
@@ -60,18 +66,35 @@ class TNormDesc:
     ``curves``; ``branch`` is required whenever ``curves`` is not empty and
     equals ``fn`` off them.  The continuity checkers read ``branch``, trust
     T to be monotone, and refuse an entry with neither curves nor declared
-    continuity.
+    continuity.  ``boundary_probes`` are derived from ``curves``.
     """
 
     name: str
     fn: TNormFn
     declared: TNormTraits | None
-    boundary_probes: tuple[tuple[UnitRat, UnitRat], ...] = field(default=())
     curves: tuple[Curve, ...] = ()
     branch: BranchFn | None = None
 
+    def __post_init__(self) -> None:
+        if self.curves and self.branch is None:
+            raise ValueError(f"t-norm {self.name!r} declares curves but no branch")
+
     def __call__(self, x: UnitRat, y: UnitRat) -> UnitRat:
         return self.fn(x, y)
+
+    @cached_property
+    def boundary_probes(self) -> tuple[tuple[UnitRat, UnitRat], ...]:
+        """Exact points on the curves inside ]0, 1]², at the free coordinate
+        s = num/den for den in 2, 3, 4, 8, 16, curve by curve for each s."""
+        points = []
+        for den in (2, 3, 4, 8, 16):
+            for num in range(1, den + 1):
+                s = Fraction(num, den)
+                for alpha, beta, gamma in self.curves:
+                    x, y = (s, (gamma - alpha * s) / beta) if beta else (Fraction(gamma, alpha), s)
+                    if 0 < x <= 1 and 0 < y <= 1:
+                        points.append((UnitRat(x), UnitRat(y)))
+        return tuple(points)
 
 
 def _minimum(x: UnitRat, y: UnitRat) -> UnitRat:
@@ -119,29 +142,6 @@ def _drastic_branch(x: UnitRat, y: UnitRat, sides: tuple[int, ...]) -> UnitRat:
     return _minimum(x, y) if 0 in sides else UNIT_ZERO
 
 
-def _antidiagonal_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
-    # Exact points on the curve x + y = 1, the discontinuity locus of the
-    # two nilpotent-minimum variants; includes (1/2, 1/2).
-    points = []
-    for den in (2, 3, 4, 8, 16):
-        for num in range(1, den):
-            x = Fraction(num, den)
-            points.append((UnitRat(x), UnitRat(1 - x)))
-    return tuple(points)
-
-
-def _edge_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
-    # Exact points on the curves x = 1 and y = 1 where the drastic product
-    # drops to zero.
-    points = []
-    for den in (2, 3, 4, 8):
-        for num in range(1, den + 1):
-            t = UnitRat(Fraction(num, den))
-            points.append((UNIT_ONE, t))
-            points.append((t, UNIT_ONE))
-    return tuple(points)
-
-
 _CONTINUOUS = TNormTraits(True, True, True, True, True, True, True)
 
 _CATALOG: dict[str, TNormDesc] = {
@@ -152,7 +152,6 @@ _CATALOG: dict[str, TNormDesc] = {
         "nM",
         _nilpotent_min,
         TNormTraits(True, True, True, True, True, True, False),
-        _antidiagonal_probes(),
         (ANTIDIAGONAL,),
         _nilpotent_min_branch,
     ),
@@ -160,7 +159,6 @@ _CATALOG: dict[str, TNormDesc] = {
         "D",
         _drastic,
         TNormTraits(True, True, True, True, False, True, False),
-        _edge_probes(),
         (RIGHT_EDGE, TOP_EDGE),
         _drastic_branch,
     ),
@@ -168,7 +166,6 @@ _CATALOG: dict[str, TNormDesc] = {
         "nM_hat",
         _nilpotent_min_closed,
         TNormTraits(True, True, True, True, False, False, False),
-        _antidiagonal_probes(),
         (ANTIDIAGONAL,),
         _nilpotent_min_closed_branch,
     ),
@@ -232,7 +229,7 @@ def _continuity_check(t: TNormDesc, budget: int, seed: int, region: str) -> Verd
     label = "weakly left" if region == "weak" else "left"
     rng = random.Random(seed)
     # Exact probes on declared discontinuity curves come first.
-    probes = [(x, y) for x, y in t.boundary_probes if x.value and y.value]
+    probes = t.boundary_probes
     samples = (
         (_random_unit(rng, positive=True), _random_unit(rng, positive=True)) for _ in range(budget)
     )

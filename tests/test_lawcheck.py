@@ -9,6 +9,7 @@ from deltaplus.lawcheck import (
     LAWS,
     RandomDDFConfig,
     _case,
+    _random_ddf,
     _mining_cases,
     check_law,
     mine_counterexample,
@@ -52,6 +53,29 @@ def test_config_validation():
         RandomDDFConfig(max_jumps=-1)
     with pytest.raises(ValueError):
         RandomDDFConfig(abscissa_pool=0)
+
+
+class _CountedRandom(random.Random):
+    """Raises once it has served more than ``limit`` randint draws."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.left = limit
+
+    def randint(self, a, b):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("the sampler kept drawing from an exhausted pool")
+        return super().randint(a, b)
+
+
+def test_random_ddf_draws_are_bounded_by_the_pools_not_max_jumps():
+    # The count, then two draws per attempt, at most 64*K attempts per pool:
+    # K = a(2a + 3) abscissae and v(v + 1)/2 values.
+    cfg = RandomDDFConfig(max_jumps=10**9, abscissa_pool=3, value_pool=2)
+    limit = 1 + 2 * 64 * (3 * 9) + 2 * 64 * 3
+    f = _random_ddf(cfg, _CountedRandom(0, limit))
+    assert len(f.jumps) == 2  # 1/2 and 1 are all the value pool can draw
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -299,9 +323,9 @@ operand slot=1 ddf=DDF v1\njump 0 1/6\njump 1/4 2/7\njump 1/2 1/2\njump 1 2/3\nj
     # Ramp pairs, right after the 484 cheap-law step cases: a closure
     # witness with its split and v2 operands.
     ("mine", "D", "max", "all"): r"""
-report tnorm=D tconorm=max law=closure verdict=fail cases=494 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
-witness law=closure x=1 lhs=0 rhs=1/8 u=1 v=1 detail=regularized vs raw value
-operand slot=0 ddf=DDF v2\nramp 0 1 1/8\n
+report tnorm=D tconorm=max law=closure verdict=fail cases=502 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=closure x=1 lhs=0 rhs=1/16 u=1 v=1 detail=regularized vs raw value
+operand slot=0 ddf=DDF v2\nramp 0 1 1/16\n
 operand slot=1 ddf=DDF v2\nramp 0 1 1\n
 """,
 }

@@ -7,6 +7,7 @@ import pytest
 
 from deltaplus.rationals import UNIT_ONE, UnitRat, unit
 from deltaplus.tnorms import (
+    FORMULA_LINES,
     TNORM_NAMES,
     CatalogError,
     TNormDesc,
@@ -249,3 +250,65 @@ def test_continuity_of_an_operation_without_curves_is_refused(declared):
     for check in (check_weak_left_continuity, check_left_continuity):
         with pytest.raises(ValueError, match="mystery"):
             check(t, BUDGET, SEED)
+
+
+def test_curves_without_a_branch_are_refused():
+    with pytest.raises(ValueError, match="half_made"):
+        TNormDesc("half_made", catalog_tnorm("nM").fn, None, curves=((1, 1, 1),))
+
+
+# The hand-written probe tuples the catalog carried before they were
+# derived from the curves, kept verbatim as the reference.
+def _antidiagonal_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
+    # Exact points on the curve x + y = 1, the discontinuity locus of the
+    # two nilpotent-minimum variants; includes (1/2, 1/2).
+    points = []
+    for den in (2, 3, 4, 8, 16):
+        for num in range(1, den):
+            x = Fraction(num, den)
+            points.append((UnitRat(x), UnitRat(1 - x)))
+    return tuple(points)
+
+
+def _edge_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
+    # Exact points on the curves x = 1 and y = 1 where the drastic product
+    # drops to zero.
+    points = []
+    for den in (2, 3, 4, 8):
+        for num in range(1, den + 1):
+            t = UnitRat(Fraction(num, den))
+            points.append((UNIT_ONE, t))
+            points.append((t, UNIT_ONE))
+    return tuple(points)
+
+
+def test_derived_probes_match_the_hand_written_ones():
+    assert catalog_tnorm("nM").boundary_probes == _antidiagonal_probes()
+    assert catalog_tnorm("nM_hat").boundary_probes == _antidiagonal_probes()
+    drastic = catalog_tnorm("D").boundary_probes
+    assert drastic[:34] == _edge_probes()
+    # The rest are the den-16 points on the two edges.
+    assert len(drastic) == 66
+    assert set(drastic[34:]) == {
+        p for k in range(1, 17) for p in ((UNIT_ONE, unit(k, 16)), (unit(k, 16), UNIT_ONE))
+    }
+    for name in ("M", "Pi", "W"):
+        assert catalog_tnorm(name).boundary_probes == ()
+
+
+def test_probes_come_from_the_curves_alone():
+    # No probe tuple is passed: the (1/2, 1/2) probe on a + b = 1 is the
+    # first case, before any random sample.
+    nm_hat = catalog_tnorm("nM_hat")
+    t = TNormDesc(
+        "nM_hat_copy", nm_hat.fn, nm_hat.declared, curves=nm_hat.curves, branch=nm_hat.branch
+    )
+    verdict = check_weak_left_continuity(t, BUDGET, SEED)
+    assert not verdict.passed
+    assert verdict.cases == 1
+    assert verdict.witness.point == (unit(1, 2), unit(1, 2))
+
+
+def test_every_catalog_curve_is_a_formula_line():
+    for name in TNORM_NAMES:
+        assert set(catalog_tnorm(name).curves) <= set(FORMULA_LINES), name
