@@ -13,10 +13,9 @@ failure), the declared flag when no finite check can decide (full
 continuity of the conorm), or a vacuity marker.  Checker results are
 cross-validated against the declared metadata; a mismatch raises instead
 of silently preferring either side, and an operation without declared
-metadata is refused outright.  Condition (c) is decided exactly from the
-t-norm's declared discontinuity curves; for ``M``, ``Pi`` and ``W``,
-which declare none, its pass rests on their declared continuity, as
-``a_continuity`` does.
+metadata is refused outright.  Condition (c) is decided exactly at the
+t-norm's finite certificate; ``M``, ``Pi`` and ``W`` pass on their
+declared continuity, as ``a_continuity`` does.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ def _cross_check(tag: str, declared: bool, verdict: Verdict) -> None:
 def classify(
     t: TNormDesc, l: TConormDesc, budget: int = 400, seed: int = 0
 ) -> Classification:
-    """Classify a pair with verified metadata; deterministic for catalog
-    entries, whose critical points are probed exactly."""
+    """Classify a pair with verified metadata.  ``budget`` and ``seed`` drive
+    the randomized conorm and t-norm axiom checks; (c)'s continuity is exact."""
     if t.declared is None or l.declared is None:
         raise UnverifiedMetadataError(
             "run checks first: classification needs declared-and-verified"
@@ -113,7 +112,7 @@ def classify(
             d.is_commutative and d.is_associative and d.has_one_identity and d.is_monotone,
             check_tnorm_axioms(t, budget, seed),
         ),
-        ("c_weak_left", d.is_weakly_left_continuous, check_weak_left_continuity(t, budget, seed)),
+        ("c_weak_left", d.is_weakly_left_continuous, check_weak_left_continuity(t)),
     )
     for tag, declared, verdict in checked:
         _cross_check(tag, declared, verdict)
@@ -132,7 +131,7 @@ def classify(
             )
         )
     else:
-        left = check_left_continuity(t, budget, seed)
+        left = check_left_continuity(t)
         _cross_check("c_left", t.declared.is_left_continuous, left)
         evidence.append(
             ConditionEvidence(

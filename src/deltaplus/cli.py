@@ -101,6 +101,8 @@ def _read_ddf(path: str) -> DDF:
             text = handle.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text") from exc
     try:
         f = parse_ddf(text)
     except DdfParseError as exc:

@@ -4,17 +4,16 @@ Each entry bundles an exact rational evaluator with declared flags
 (commutativity, associativity, identity, monotonicity, and the three
 continuity grades) plus, for piecewise definitions, the discontinuity
 curves themselves and the operation's continuous formula on each side of
-them.  The exact probe points on the curves are derived from them.  The
-``check_*`` functions falsify or support those flags; declared metadata
-must survive the falsification suite.
+them.  The ``check_*`` functions falsify or support those flags; declared
+metadata must survive the falsification suite.
 
-Continuity is decided exactly from the declared curves.  Off them T is one
-continuous formula per region (``branch``, equal to ``fn`` there), so its
-limit along a direction is that region's formula at the point
+Continuity is decided exactly from the declared curves, at the finite
+``TNormDesc.certificate``; no random point is drawn.  Off the curves T is
+one continuous formula per region (``branch``, equal to ``fn`` there), so
+its limit along a direction is that region's formula at the point
 (:func:`limit_along`), and a monotone T reaches its sup left of a point
-along the diagonal (left continuity) or the two axes (weak).  An entry
-with no curves is continuous by declaration: ``M``, ``Pi`` and ``W`` pass
-on their declared flag.  A descriptor with neither is refused.
+along the diagonal (left continuity) or the two axes (weak).  ``M``,
+``Pi`` and ``W`` declare no curves and pass on their declared continuity.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Callable
 
 from .rationals import UNIT_ONE, UNIT_ZERO, RationalLike, UnitRat, quoted
@@ -46,6 +44,11 @@ TOP_EDGE: Curve = (0, 1, 1)
 FORMULA_LINES = (DIAGONAL, ANTIDIAGONAL, RIGHT_EDGE, TOP_EDGE)
 
 
+def _on_curve(curve: Curve, s: Fraction) -> tuple[Fraction, Fraction]:
+    alpha, beta, gamma = curve  # s is the free coordinate: a, or b when beta = 0
+    return (s, (gamma - alpha * s) / beta) if beta else (Fraction(gamma, alpha), s)
+
+
 @dataclass(frozen=True)
 class TNormTraits:
     is_commutative: bool
@@ -64,9 +67,12 @@ class TNormDesc:
     ``declared`` may be None for a black-box operation; such descriptors
     can be checked but not classified.  ``fn`` is continuous off
     ``curves``; ``branch`` is required whenever ``curves`` is not empty and
-    equals ``fn`` off them.  The continuity checkers read ``branch``, trust
-    T to be monotone, and refuse an entry with neither curves nor declared
-    continuity.  ``boundary_probes`` are derived from ``curves``.
+    equals ``fn`` off them.  The continuity checkers refuse an entry with
+    neither curves nor declared continuity, and read ``branch`` at the
+    ``certificate``: each curve's cuts by a = 0, b = 0, ``FORMULA_LINES`` and
+    the other curves, and each piece's midpoint.  They trust T to be monotone
+    and each ``branch`` formula to be linear on a piece, so t(x, y) minus a
+    limit, >= 0 and linear there, is zero at the midpoint iff on the piece.
     """
 
     name: str
@@ -83,15 +89,29 @@ class TNormDesc:
         return self.fn(x, y)
 
     @cached_property
+    def certificate(self) -> tuple[tuple[UnitRat, UnitRat], ...]:
+        """Ordered by free coordinate: denominator (1 as 2/2), value, curve."""
+        keyed = []
+        lines = ((1, 0, 0), (0, 1, 0)) + FORMULA_LINES + self.curves
+        for index, curve in enumerate(self.curves):
+            ends = [_on_curve(curve, Fraction(s)) for s in (0, 1)]
+            gaps = ([a * x + b * y - c for x, y in ends] for a, b, c in lines)
+            cuts = sorted({f0 / (f0 - f1) for f0, f1 in gaps if f0 != f1})
+            for s in cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])]:
+                keyed.append((max(s.denominator, 2), s, index, _on_curve(curve, s)))
+        points = dict.fromkeys(p for *_, p in sorted(keyed) if all(0 < q <= 1 for q in p))
+        return tuple((UnitRat(x), UnitRat(y)) for x, y in points)
+
+    @cached_property
     def boundary_probes(self) -> tuple[tuple[UnitRat, UnitRat], ...]:
-        """Exact points on the curves inside ]0, 1]², at the free coordinate
-        s = num/den for den in 2, 3, 4, 8, 16, curve by curve for each s."""
+        """The miner's level source: points on the curves inside ]0, 1]², at
+        the free coordinate num/den for den in 2, 3, 4, 8, 16, curve by curve."""
         points = []
         for den in (2, 3, 4, 8, 16):
             for num in range(1, den + 1):
                 s = Fraction(num, den)
-                for alpha, beta, gamma in self.curves:
-                    x, y = (s, (gamma - alpha * s) / beta) if beta else (Fraction(gamma, alpha), s)
+                for curve in self.curves:
+                    x, y = _on_curve(curve, s)
                     if 0 < x <= 1 and 0 < y <= 1:
                         points.append((UnitRat(x), UnitRat(y)))
         return tuple(points)
@@ -183,9 +203,9 @@ def catalog_tnorm(name: str) -> TNormDesc:
         ) from None
 
 
-def _random_unit(rng: random.Random, max_den: int = 64, positive: bool = False) -> UnitRat:
+def _random_unit(rng: random.Random, max_den: int = 64) -> UnitRat:
     den = rng.randint(1, max_den)
-    num = rng.randint(1 if positive else 0, den)
+    num = rng.randint(0, den)
     return UnitRat(Fraction(num, den))
 
 
@@ -223,25 +243,19 @@ def _check_point_continuity(t: TNormDesc, x: UnitRat, y: UnitRat, region: str) -
     return best >= t(x, y).value
 
 
-def _continuity_check(t: TNormDesc, budget: int, seed: int, region: str) -> Verdict:
+def _continuity_check(t: TNormDesc, region: str) -> Verdict:
     if not t.curves and not (t.declared and t.declared.is_continuous):
         raise ValueError(f"t-norm {t.name!r} declares neither curves nor continuity")
     label = "weakly left" if region == "weak" else "left"
-    rng = random.Random(seed)
-    # Exact probes on declared discontinuity curves come first.
-    probes = t.boundary_probes
-    samples = (
-        (_random_unit(rng, positive=True), _random_unit(rng, positive=True)) for _ in range(budget)
-    )
-    for cases, (x, y) in enumerate(chain(probes, samples), 1):
+    for cases, (x, y) in enumerate(t.certificate, 1):
         if not _check_point_continuity(t, x, y, region):
             return Verdict(False, cases, Witness2D((x, y), f"not {label} continuous"))
-    return Verdict(True, len(probes) + budget)
+    return Verdict(True, len(t.certificate))
 
 
-def check_weak_left_continuity(t: TNormDesc, budget: int, seed: int) -> Verdict:
-    return _continuity_check(t, budget, seed, "weak")
+def check_weak_left_continuity(t: TNormDesc) -> Verdict:
+    return _continuity_check(t, "weak")
 
 
-def check_left_continuity(t: TNormDesc, budget: int, seed: int) -> Verdict:
-    return _continuity_check(t, budget, seed, "left")
+def check_left_continuity(t: TNormDesc) -> Verdict:
+    return _continuity_check(t, "left")

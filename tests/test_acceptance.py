@@ -298,13 +298,13 @@ def test_criterion_8_catalog_metadata_regression():
             problems.append(label)
 
     nm = catalog_tnorm("nM")
-    expect(check_left_continuity(nm, budget, seed).passed, "nM left continuous")
+    expect(check_left_continuity(nm).passed, "nM left continuous")
     expect(not nm.declared.is_continuous, "nM not continuous")
     d = catalog_tnorm("D")
-    expect(check_weak_left_continuity(d, budget, seed).passed, "D weakly left continuous")
-    expect(not check_left_continuity(d, budget, seed).passed, "D not left continuous")
+    expect(check_weak_left_continuity(d).passed, "D weakly left continuous")
+    expect(not check_left_continuity(d).passed, "D not left continuous")
     nmh = catalog_tnorm("nM_hat")
-    weak = check_weak_left_continuity(nmh, budget, seed)
+    weak = check_weak_left_continuity(nmh)
     expect(not weak.passed, "nM_hat not weakly left continuous")
     expect(weak.witness.point == (unit(1, 2), unit(1, 2)), "nM_hat witness at (1/2,1/2)")
     nil = catalog_tconorm_spec("nilpotent_rat")

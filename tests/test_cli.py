@@ -89,6 +89,14 @@ def test_tau_parse_error_names_file_and_line(capsys, tmp_path, eps1):
     assert "bad.ddf" in err and "line 3" in err
 
 
+def test_tau_non_utf8_file_names_the_path(capsys, tmp_path, eps1):
+    bad = tmp_path / "bad.ddf"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "tau", "--tnorm", "M", "--conorm", "plus", "--f", str(bad), "--g", eps1)
+    assert code == 64
+    assert f"cannot read {bad}: not UTF-8 text" in err
+
+
 def test_classify_exit_codes(capsys):
     code, out, _ = run(capsys, "classify", "--tnorm", "D", "--conorm", "plus")
     assert code == 0 and "verdict Triangle" in out

@@ -7,13 +7,14 @@ import pytest
 
 from deltaplus.rationals import UNIT_ONE, UnitRat, unit
 from deltaplus.tnorms import (
+    ANTIDIAGONAL,
+    DIAGONAL,
     FORMULA_LINES,
     TNORM_NAMES,
     CatalogError,
     TNormDesc,
     TNormTraits,
     _check_point_continuity,
-    _random_unit,
     catalog_tnorm,
     check_left_continuity,
     check_tnorm_axioms,
@@ -97,29 +98,88 @@ def test_drastic_below_every_entry_below_minimum():
 )
 def test_continuity_classification(name, weak, left):
     t = catalog_tnorm(name)
-    assert check_weak_left_continuity(t, BUDGET, SEED).passed == weak
-    assert check_left_continuity(t, BUDGET, SEED).passed == left
+    assert check_weak_left_continuity(t).passed == weak
+    assert check_left_continuity(t).passed == left
 
 
 def test_nm_hat_fails_weak_left_continuity_at_half_half():
-    verdict = check_weak_left_continuity(catalog_tnorm("nM_hat"), BUDGET, SEED)
+    verdict = check_weak_left_continuity(catalog_tnorm("nM_hat"))
     assert not verdict.passed
     assert verdict.witness.point == (unit(1, 2), unit(1, 2))
 
 
 def test_drastic_left_continuity_witness_on_edge():
-    verdict = check_left_continuity(catalog_tnorm("D"), BUDGET, SEED)
+    verdict = check_left_continuity(catalog_tnorm("D"))
     assert not verdict.passed
     x, y = verdict.witness.point
     assert x == UNIT_ONE or y == UNIT_ONE
     assert x != y  # some interior coordinate, the failing direction
 
 
+_ANTIDIAGONAL_CERTIFICATE = (
+    (unit(1, 2), unit(1, 2)),
+    (unit(1, 4), unit(3, 4)),
+    (unit(3, 4), unit(1, 4)),
+)
+CERTIFICATES = {
+    "M": (),
+    "Pi": (),
+    "W": (),
+    "nM": _ANTIDIAGONAL_CERTIFICATE,
+    "nM_hat": _ANTIDIAGONAL_CERTIFICATE,
+    "D": ((UNIT_ONE, unit(1, 2)), (unit(1, 2), UNIT_ONE), (UNIT_ONE, UNIT_ONE)),
+}
+
+
+@pytest.mark.parametrize("name", TNORM_NAMES)
+def test_certificate_points_and_their_order(name):
+    # The cuts by a = b split a + b = 1 at (1/2, 1/2); the edges a = 1 and
+    # b = 1 meet at (1, 1).  Points go by the free coordinate's denominator.
+    assert catalog_tnorm(name).certificate == CERTIFICATES[name]
+
+
+@pytest.mark.parametrize(
+    "name, weak_cases, left_cases",
+    [("M", 0, 0), ("Pi", 0, 0), ("W", 0, 0), ("nM", 3, 3), ("nM_hat", 1, 1), ("D", 3, 1)],
+)
+def test_continuity_checks_visit_the_certificate_only(name, weak_cases, left_cases):
+    t = catalog_tnorm(name)
+    assert check_weak_left_continuity(t).cases == weak_cases
+    assert check_left_continuity(t).cases == left_cases
+
+
+def test_drastic_left_continuity_witness_is_the_first_certificate_point():
+    verdict = check_left_continuity(catalog_tnorm("D"))
+    assert verdict.witness.point == (UNIT_ONE, unit(1, 2))
+
+
+def test_a_defect_on_part_of_a_curve_is_caught():
+    # nM_hat's closed branch on a + b = 1 only where a < b.  The curve's
+    # cut at a = b, (1/2, 1/2), is continuous; its left piece is not.
+    def minimum_if(keep: bool, x: UnitRat, y: UnitRat) -> UnitRat:
+        return (x if x.value <= y.value else y) if keep else unit(0)
+
+    def fn(x: UnitRat, y: UnitRat) -> UnitRat:
+        total = x.value + y.value
+        return minimum_if(total > 1 or (total == 1 and x.value < y.value), x, y)
+
+    def branch(x: UnitRat, y: UnitRat, sides: tuple[int, ...]) -> UnitRat:
+        return minimum_if(sides[0] > 0 or (sides[0] == 0 and sides[1] < 0), x, y)
+
+    t = TNormDesc("half_closed", fn, None, curves=(ANTIDIAGONAL, DIAGONAL), branch=branch)
+    grid = [unit(k, 16) for k in range(17)]
+    for x, y in product(grid, repeat=2):
+        assert t.branch(x, y, _sides(t, x, y)) == t(x, y), (x, y)
+    verdict = check_weak_left_continuity(t)
+    assert not verdict.passed
+    assert verdict.witness.point == (unit(1, 4), unit(3, 4))
+
+
 @pytest.mark.parametrize("name", TNORM_NAMES)
 def test_left_continuity_implies_weak(name):
     t = catalog_tnorm(name)
-    if check_left_continuity(t, BUDGET, SEED).passed:
-        assert check_weak_left_continuity(t, BUDGET, SEED).passed
+    if check_left_continuity(t).passed:
+        assert check_weak_left_continuity(t).passed
 
 
 @pytest.mark.parametrize("name", TNORM_NAMES)
@@ -131,10 +191,10 @@ def test_declared_metadata_survives_checks(name):
         and t.declared.has_one_identity
         and t.declared.is_monotone
     )
-    assert check_weak_left_continuity(t, BUDGET, SEED).passed == (
+    assert check_weak_left_continuity(t).passed == (
         t.declared.is_weakly_left_continuous
     )
-    assert check_left_continuity(t, BUDGET, SEED).passed == t.declared.is_left_continuous
+    assert check_left_continuity(t).passed == t.declared.is_left_continuous
 
 
 def test_identity_spot_check_on_declared_entries():
@@ -193,20 +253,26 @@ def _reference_point_continuity(t: TNormDesc, x: UnitRat, y: UnitRat, region: st
     return best != prev_best
 
 
-def _classify_points(t: TNormDesc, seed: int, budget: int = 400):
-    # The points the continuity checkers visit at classify's default budget.
+def _positive_unit(rng: random.Random, max_den: int = 64) -> UnitRat:
+    den = rng.randint(1, max_den)
+    return UnitRat(Fraction(rng.randint(1, den), den))
+
+
+def _reference_points(t: TNormDesc, seed: int, budget: int = 400):
+    # The certificate, the miner's boundary probes, and seeded points of
+    # ]0, 1]², so that the reference also checks the exact rule off them.
     rng = random.Random(seed)
-    points = [(x, y) for x, y in t.boundary_probes if x.value and y.value]
+    points = list(t.certificate) + list(t.boundary_probes)
     for _ in range(budget):
-        x = _random_unit(rng, positive=True)
-        points.append((x, _random_unit(rng, positive=True)))
+        x = _positive_unit(rng)
+        points.append((x, _positive_unit(rng)))
     return points
 
 
 @pytest.mark.parametrize("name", TNORM_NAMES)
 def test_exact_rule_agrees_with_the_dyadic_refinement(name):
     t = catalog_tnorm(name)
-    points = {p for seed in range(3) for p in _classify_points(t, seed)}
+    points = {p for seed in range(3) for p in _reference_points(t, seed)}
     for region in ("weak", "left"):
         for x, y in points:
             expected = _reference_point_continuity(t, x, y, region)
@@ -249,7 +315,7 @@ def test_continuity_of_an_operation_without_curves_is_refused(declared):
     t = TNormDesc("mystery", lambda x, y: x if x.value <= y.value else y, declared)
     for check in (check_weak_left_continuity, check_left_continuity):
         with pytest.raises(ValueError, match="mystery"):
-            check(t, BUDGET, SEED)
+            check(t)
 
 
 def test_curves_without_a_branch_are_refused():
@@ -297,13 +363,13 @@ def test_derived_probes_match_the_hand_written_ones():
 
 
 def test_probes_come_from_the_curves_alone():
-    # No probe tuple is passed: the (1/2, 1/2) probe on a + b = 1 is the
-    # first case, before any random sample.
+    # No point is passed: the (1/2, 1/2) cut of a + b = 1 by a = b is the
+    # first case of the certificate derived from the curves.
     nm_hat = catalog_tnorm("nM_hat")
     t = TNormDesc(
         "nM_hat_copy", nm_hat.fn, nm_hat.declared, curves=nm_hat.curves, branch=nm_hat.branch
     )
-    verdict = check_weak_left_continuity(t, BUDGET, SEED)
+    verdict = check_weak_left_continuity(t)
     assert not verdict.passed
     assert verdict.cases == 1
     assert verdict.witness.point == (unit(1, 2), unit(1, 2))
