@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .rationals import (
@@ -67,16 +68,16 @@ class DDF:
     _ps: list[UnitRat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        last_x: Fraction | None = None
-        last_p = Fraction(0)
+        last_x: ExtRat | None = None
+        last_p = UNIT_ZERO
         for x, p in self.jumps:
             if x.is_infinite:
                 raise ValueError("jump abscissae must be finite")
-            if last_x is not None and x.finite <= last_x:
+            if last_x is not None and x <= last_x:
                 raise ValueError("jump abscissae must be strictly increasing")
-            if p.value <= last_p:
+            if p <= last_p:
                 raise ValueError("jump values must be strictly increasing and positive")
-            last_x, last_p = x.finite, p.value
+            last_x, last_p = x, p
         object.__setattr__(self, "_xs", [x.finite for x, _ in self.jumps])
         object.__setattr__(self, "_ps", [p for _, p in self.jumps])
 
@@ -112,19 +113,21 @@ def canonicalize(raw: Iterable[Jump]) -> DDF:
     deletes jumps dominated by an earlier jump of equal-or-greater value,
     and drops zero-valued jumps.
     """
-    ordered = sorted(raw, key=lambda j: (j[0].finite, -j[1].value))
+    # By abscissa, and at one abscissa the largest value first: two stable sorts.
+    ordered = sorted(raw, key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(0))
     kept: list[Jump] = []
-    seen_x: Fraction | None = None
-    best = Fraction(0)
+    seen_x: ExtRat | None = None
+    best = UNIT_ZERO
     for x, p in ordered:
         if x.is_infinite:
             raise ValueError("jump abscissae must be finite")
-        if seen_x is not None and x.finite == seen_x:
+        if x == seen_x:
             continue
-        seen_x = x.finite
-        if p.value > best:
+        seen_x = x
+        if p > best:
             kept.append((x, p))
-            best = p.value
+            best = p
     return DDF(tuple(kept))
 
 

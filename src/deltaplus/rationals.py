@@ -6,11 +6,19 @@ rationals (``fractions.Fraction``, arbitrary precision, always in lowest
 terms) so that downstream equality tests are structural and bit-exact.
 The two carriers are deliberately distinct types with no implicit
 coercion between them.
+
+Each carrier also keeps its value's lowest-terms numerator and
+denominator as two private ints, with infinity stored as 1/0.  Equality
+compares the two pairs, and the order is one cross-multiplication,
+n_a * d_b against n_b * d_a, which puts 1/0 above every finite value
+with no infinity branch.  The slots are named after the public field
+(``_vn``/``_vd`` for ``value``, ``_fn``/``_fd`` for ``finite``), so
+ordering one carrier against the other still raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -34,23 +42,36 @@ class UnitRat:
     """Exact rational confined to [0, 1]."""
 
     value: Fraction
+    _vn: int = field(init=False, repr=False, compare=False)
+    _vd: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _as_fraction(self.value))
-        if not 0 <= self.value <= 1:
-            raise ValueError(f"unit value out of range [0,1]: {self.value}")
+        value = self.value
+        if type(value) is not Fraction:
+            value = _as_fraction(value)
+            object.__setattr__(self, "value", value)
+        num, den = value.numerator, value.denominator
+        if not 0 <= num <= den:
+            raise ValueError(f"unit value out of range [0,1]: {value}")
+        object.__setattr__(self, "_vn", num)
+        object.__setattr__(self, "_vd", den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._vn == other._vn and self._vd == other._vd
 
     def __lt__(self, other: "UnitRat") -> bool:
-        return self.value < other.value
+        return self._vn * other._vd < other._vn * self._vd
 
     def __le__(self, other: "UnitRat") -> bool:
-        return self.value <= other.value
+        return self._vn * other._vd <= other._vn * self._vd
 
     def __gt__(self, other: "UnitRat") -> bool:
-        return self.value > other.value
+        return self._vn * other._vd > other._vn * self._vd
 
     def __ge__(self, other: "UnitRat") -> bool:
-        return self.value >= other.value
+        return self._vn * other._vd >= other._vn * self._vd
 
     def __str__(self) -> str:
         return format_unit(self)
@@ -65,16 +86,31 @@ class ExtRat:
     """
 
     finite: Fraction | None
+    _fn: int = field(init=False, repr=False, compare=False)
+    _fd: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.finite is not None:
-            object.__setattr__(self, "finite", _as_fraction(self.finite))
-            if self.finite < 0:
-                raise ValueError(f"extended rational must be >= 0: {self.finite}")
+        finite = self.finite
+        if finite is None:
+            num, den = 1, 0
+        else:
+            if type(finite) is not Fraction:
+                finite = _as_fraction(finite)
+                object.__setattr__(self, "finite", finite)
+            num, den = finite.numerator, finite.denominator
+            if num < 0:
+                raise ValueError(f"extended rational must be >= 0: {finite}")
+        object.__setattr__(self, "_fn", num)
+        object.__setattr__(self, "_fd", den)
 
     @property
     def is_infinite(self) -> bool:
         return self.finite is None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fn == other._fn and self._fd == other._fd
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
         return ext_add(self, other)
@@ -120,13 +156,8 @@ def ext_add(a: ExtRat, b: ExtRat) -> ExtRat:
 
 def ext_cmp(a: ExtRat, b: ExtRat) -> int:
     """Total-order comparison: -1, 0 or 1."""
-    if a.is_infinite:
-        return 0 if b.is_infinite else 1
-    if b.is_infinite:
-        return -1
-    if a.finite == b.finite:
-        return 0
-    return -1 if a.finite < b.finite else 1
+    lhs, rhs = a._fn * b._fd, b._fn * a._fd
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def ext_max(a: ExtRat, b: ExtRat) -> ExtRat:

@@ -131,42 +131,41 @@ def tau(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF) -> DDF:
     cuts_f, values_f = _band_decomposition(f)
     cuts_g, values_g = _band_decomposition(g)
     m = len(cuts_g)
-    # (corner image, -row, column, corner, value), one entry per live row.
-    # At equal corners the highest row pops first, so that it sets best
-    # before the rows below it in the same column.
-    heap: list[tuple[Fraction, int, int, ExtRat, UnitRat]] = []
+    # (corner image, -row, column, value), one entry per live row; the
+    # carriers order on their own.  At equal corners the highest row pops
+    # first, so that it sets best before the rows below it in the same
+    # column.
+    heap: list[tuple[ExtRat, int, int, UnitRat]] = []
 
-    def advance(i: int, j: int, best: Fraction) -> None:
+    def advance(i: int, j: int, best: UnitRat) -> None:
         # Row i's first column from j on whose value beats best: gallop
         # ahead to a column that beats it, then bisect back.  A row whose
         # remaining cells cannot beat best, or whose corner there is
         # infinite (so are all later ones), leaves the merge.
         fv = values_f[i]
         lo, hi, step = j, j, 1
-        while hi < m and (value := t(fv, values_g[hi])).value <= best:
+        while hi < m and (value := t(fv, values_g[hi])) <= best:
             lo, hi, step = hi + 1, hi + step, step * 2
-        j = bisect_right(
-            range(m), best, lo=lo, hi=min(hi, m), key=lambda k: t(fv, values_g[k]).value
-        )
+        j = bisect_right(range(m), best, lo=lo, hi=min(hi, m), key=lambda k: t(fv, values_g[k]))
         if j == m:
             return
         if j != hi:
             value = t(fv, values_g[j])
         corner = l(cuts_f[i], cuts_g[j])
         if not corner.is_infinite:
-            heappush(heap, (corner.finite, -i, j, corner, value))
+            heappush(heap, (corner, -i, j, value))
 
-    best = Fraction(0)
+    best = UNIT_ZERO
     for i in range(len(cuts_f)):
         advance(i, 0, best)
     best_i = best_j = -1
     jumps = []
     while heap:
-        _, i, j, corner, value = heappop(heap)
+        corner, i, j, value = heappop(heap)
         i = -i
-        if value.value > best:
+        if value > best:
             jumps.append((corner, value))
-            best, best_i, best_j = value.value, i, j
+            best, best_i, best_j = value, i, j
         elif best_i > i and best_j == j:
             # The cell that set best lies higher in this column.  It
             # popped first, so its corner is no larger than this one, and
@@ -245,8 +244,8 @@ def _grid_profile(
     attained = l.cell_inf_attained
     jumps = []
     # (value, lo, hi, lo reached) per nonzero cell with a finite lower
-    # corner: lo and hi are L at the lower and upper corners, hi None when
-    # infinite, and "lo reached" says whether L attains lo on the cell.
+    # corner: lo and hi are L at the lower and upper corners, and "lo
+    # reached" says whether L attains lo on the cell.
     cells = []
     for i, a in enumerate(cuts_f):
         row = grid.cell_values[i]
@@ -259,17 +258,16 @@ def _grid_profile(
             b_hi = cuts_g[j + 1] if j + 1 < ng else EXT_INF
             hi = corners[i + 1][j + 1] if i + 1 < nf and j + 1 < ng else EXT_INF
             at_lo = hi == lo or (attained is not None and attained(a, b, a_hi, b_hi))
-            cells.append((value, lo.finite, hi.finite, at_lo))
-    cells.sort(key=lambda cell: cell[0].value, reverse=True)
+            cells.append((value, lo, hi, at_lo))
+    cells.sort(key=lambda cell: cell[0], reverse=True)
 
     def raw_at(x: ExtRat) -> UnitRat:
         if x.is_infinite:
             return UNIT_ONE
-        s = x.finite
-        if s == 0:
+        if x == EXT_ZERO:
             return UNIT_ZERO
         for value, lo, hi, at_lo in cells:
-            if lo < s and (hi is None or s <= hi) or (s == lo and at_lo):
+            if lo < x <= hi or (x == lo and at_lo):
                 return value
         return UNIT_ZERO
 
@@ -284,11 +282,7 @@ def _drastic_raw(t: TNormDesc, f: DDF, g: DDF) -> Callable[[ExtRat], UnitRat]:
             return UNIT_ONE
         if x == EXT_ZERO:
             return UNIT_ZERO
-        return max(
-            t(f.value_at(x), g.value_at(EXT_ZERO)),
-            t(f.value_at(EXT_ZERO), g.value_at(x)),
-            key=lambda p: p.value,
-        )
+        return max(t(f.value_at(x), g.value_at(EXT_ZERO)), t(f.value_at(EXT_ZERO), g.value_at(x)))
 
     return raw_at
 
@@ -333,7 +327,7 @@ def level_split_witness(
         row = grid.cell_values[i]
         for j, b in enumerate(grid.cuts_g):
             corner = corners[i][j]
-            if corner < y and (best is None or row[j].value > best[0].value):
+            if corner < y and (best is None or row[j] > best[0]):
                 best = (row[j], a, b, a_hi, corner)
     assert best is not None  # the (0, 0) corner is always below y
     _, a, b, a_hi, m = best
@@ -411,6 +405,6 @@ def grid_oracle_tau_at(
         return UNIT_ONE
     best = UNIT_ZERO
     for reach, value in oracle_contributions(t, l, f, g):
-        if reach < x and value.value > best.value:
+        if reach < x and value > best:
             best = value
     return best

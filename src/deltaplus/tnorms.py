@@ -84,6 +84,9 @@ class TNormDesc:
     def __post_init__(self) -> None:
         if self.curves and self.branch is None:
             raise ValueError(f"t-norm {self.name!r} declares curves but no branch")
+        for curve in self.curves:
+            if curve[0] == curve[1] == 0:
+                raise ValueError(f"t-norm {self.name!r} declares the degenerate curve {curve}")
 
     def __call__(self, x: UnitRat, y: UnitRat) -> UnitRat:
         return self.fn(x, y)
@@ -118,7 +121,7 @@ class TNormDesc:
 
 
 def _minimum(x: UnitRat, y: UnitRat) -> UnitRat:
-    return x if x.value <= y.value else y
+    return x if x <= y else y
 
 
 def _product(x: UnitRat, y: UnitRat) -> UnitRat:
@@ -239,8 +242,8 @@ _DIRECTIONS = {"left": ((-1, -1),), "weak": ((0, -1), (-1, 0))}
 
 def _check_point_continuity(t: TNormDesc, x: UnitRat, y: UnitRat, region: str) -> bool:
     """True when T's sup over the approach region reaches t(x, y)."""
-    best = max(limit_along(t, x, y, dx, dy).value for dx, dy in _DIRECTIONS[region])
-    return best >= t(x, y).value
+    best = max(limit_along(t, x, y, dx, dy) for dx, dy in _DIRECTIONS[region])
+    return best >= t(x, y)
 
 
 def _continuity_check(t: TNormDesc, region: str) -> Verdict:

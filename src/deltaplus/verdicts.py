@@ -44,19 +44,25 @@ def check_axioms(
     seed: int,
 ) -> Verdict:
     """Randomized falsification of commutativity, associativity, monotonicity
-    in each place and the neutral ``identity``, on triples drawn by ``sample``."""
+    in each place and the neutral ``identity``, on triples drawn by ``sample``.
+
+    ``op`` must be pure: op(x, y) and op(y, z) are taken once per case and
+    shared by the laws that read them."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = random.Random(seed)
     for case in range(1, budget + 1):
         x, y, z = sample(rng), sample(rng), sample(rng)
-        if op(x, y) != op(y, x):
+        xy = op(x, y)
+        if xy != op(y, x):
             return Verdict(False, case, Witness2D((x, y), "not commutative"))
-        if op(op(x, y), z) != op(x, op(y, z)):
+        yz = op(y, z)
+        if op(xy, z) != op(x, yz):
             return Verdict(False, case, Witness2D((x, y), f"not associative with z={z}"))
         if op(x, identity) != x or op(identity, x) != x:
             return Verdict(False, case, Witness2D((x, identity), f"{identity} not identity"))
-        lo, hi = (x, y) if x <= y else (y, x)
-        if op(lo, z) > op(hi, z) or op(z, lo) > op(z, hi):
+        xz = op(x, z)
+        lo, hi, lo_z, hi_z = (x, y, xz, yz) if x <= y else (y, x, yz, xz)
+        if lo_z > hi_z or op(z, lo) > op(z, hi):
             return Verdict(False, case, Witness2D((lo, hi), f"not monotone against z={z}"))
     return Verdict(True, budget)

@@ -48,6 +48,13 @@ def test_canonicalize_examples():
     assert tail.jumps == ((ext(0), unit(1, 3)),)
 
 
+def test_canonicalize_refuses_an_infinite_abscissa_among_finite_ones():
+    # Sorting on the carriers puts infinity last, so the scan names it.
+    for raw in ([(EXT_INF, UNIT_ONE)], [(EXT_INF, UNIT_ONE), (ext(1), unit(1, 2))]):
+        with pytest.raises(ValueError, match="jump abscissae must be finite"):
+            canonicalize(raw)
+
+
 @given(raw_jumps, st.one_of(st.just(EXT_INF), st.fractions(min_value=0, max_value=10).map(ExtRat)))
 def test_canonicalize_preserves_semantics(pairs, t):
     assert canonicalize(pairs).value_at(t) == naive_eval(pairs, t)

@@ -323,6 +323,13 @@ def test_curves_without_a_branch_are_refused():
         TNormDesc("half_made", catalog_tnorm("nM").fn, None, curves=((1, 1, 1),))
 
 
+def test_a_degenerate_curve_is_refused():
+    # 0*a + 0*b = gamma is no line; _on_curve would divide by zero on it.
+    nM = catalog_tnorm("nM")
+    with pytest.raises(ValueError, match="flat.*degenerate"):
+        TNormDesc("flat", nM.fn, None, curves=(ANTIDIAGONAL, (0, 0, 1)), branch=nM.branch)
+
+
 # The hand-written probe tuples the catalog carried before they were
 # derived from the curves, kept verbatim as the reference.
 def _antidiagonal_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
