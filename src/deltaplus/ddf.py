@@ -25,7 +25,7 @@ both versions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
@@ -64,8 +64,6 @@ class DDF:
     """Canonical left-continuous rational step function."""
 
     jumps: tuple[Jump, ...]
-    _xs: list[Fraction] = field(init=False, repr=False, compare=False)
-    _ps: list[UnitRat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         last_x: ExtRat | None = None
@@ -78,15 +76,13 @@ class DDF:
             if p <= last_p:
                 raise ValueError("jump values must be strictly increasing and positive")
             last_x, last_p = x, p
-        object.__setattr__(self, "_xs", [x.finite for x, _ in self.jumps])
-        object.__setattr__(self, "_ps", [p for _, p in self.jumps])
 
     def value_at(self, t: ExtRat) -> UnitRat:
         """Evaluate the induced function; exact at every point."""
         if t.is_infinite:
             return UNIT_ONE
-        i = bisect_left(self._xs, t.finite)
-        return self._ps[i - 1] if i > 0 else UNIT_ZERO
+        i = bisect_left(self.jumps, t, key=itemgetter(0))
+        return self.jumps[i - 1][1] if i > 0 else UNIT_ZERO
 
     @property
     def breakpoints(self) -> tuple[ExtRat, ...]:
@@ -94,10 +90,11 @@ class DDF:
 
     def left_piece(self, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         """``(s0, v0, slope)`` with f(s) = v0 + slope*(s - s0) on ]s0, x], x > 0."""
-        i = bisect_left(self._xs, x)
+        i = bisect_left(self.jumps, ExtRat(x), key=itemgetter(0))
         if i == 0:
             return Fraction(0), Fraction(0), Fraction(0)
-        return self._xs[i - 1], self._ps[i - 1].value, Fraction(0)
+        x0, p0 = self.jumps[i - 1]
+        return x0.finite, p0.value, Fraction(0)
 
     def __str__(self) -> str:
         return serialize(self)
@@ -270,4 +267,4 @@ def merged_probe_points(*fs: DDF) -> list[ExtRat]:
     A convenient exact sampling set: the induced functions are constant
     between consecutive probes.
     """
-    return probe_points(x for f in fs for x in f._xs)
+    return probe_points(x.finite for f in fs for x, _ in f.jumps)

@@ -352,33 +352,32 @@ def reverify(t: TNormDesc, l: TConormDesc, witness: LawWitness) -> bool:
 
 
 def _caps(l: TConormDesc) -> set[Fraction]:
-    # The conorm's parameter and its finite positive idempotents.
-    caps = {h.finite for h in l.idempotent_hints if not h.is_infinite and h.finite > 0}
-    if l.param is not None:
-        caps.add(l.param)
-    return caps
+    # The conorm's finite positive idempotents; a parameter p is the first.
+    return {h.finite for h in l.idempotent_hints if not h.is_infinite and h.finite > 0}
 
 
-def _probe_levels(t: TNormDesc, probes: int | None = None) -> set[Fraction]:
-    # Quarter levels and the coordinates of the t-norm's boundary probes.
+def _probe_levels(t: TNormDesc) -> set[Fraction]:
+    # Quarter levels and the coordinates of the t-norm's certificate: the
+    # points on its discontinuity curves where the checkers decide continuity.
+    # All lie in ]0, 1], as the certificate keeps only points of ]0, 1]².
     levels = {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)}
-    for x, y in t.boundary_probes[:probes]:
+    for x, y in t.certificate:
         levels.add(x.value)
         levels.add(y.value)
     return levels
 
 
 def _structured_candidates(t: TNormDesc, l: TConormDesc) -> list[DDF]:
-    """Seeds for the miner: families the theory's failure modes point at."""
+    """Seeds for the miner: families the theory's failure modes point at,
+    with constant levels at :func:`_probe_levels`."""
     abscissae: set[Fraction] = {Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)}
     for c in _caps(l):
         abscissae.update(
             (c / 2, 3 * c / 4, 9 * c / 10, 19 * c / 20, c, 21 * c / 20, 3 * c / 2)
         )
-    levels = _probe_levels(t, 8)
     candidates: list[DDF] = [DDF(()), make_epsilon(EXT_ZERO)]
     candidates.extend(make_epsilon(ExtRat(a)) for a in sorted(abscissae))
-    candidates.extend(make_v(UnitRat(p)) for p in sorted(levels) if 0 < p <= 1)
+    candidates.extend(make_v(UnitRat(p)) for p in sorted(_probe_levels(t)))
     # Two-step functions whose value pairs straddle the t-norm's curves.
     for lo, hi in ((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 8), Fraction(5, 8))):
         candidates.append(
@@ -388,16 +387,16 @@ def _structured_candidates(t: TNormDesc, l: TConormDesc) -> list[DDF]:
 
 
 def _ramp_candidates(t: TNormDesc, l: TConormDesc) -> list[PLDDF]:
-    """Ramps from 0 at 0 to each probe level of the t-norm, reached at each
-    of the conorm's idempotents: they approach the t-norm's discontinuity
-    curves from below, which no step function does."""
+    """Ramps from 0 at 0 to each level of :func:`_probe_levels`, which
+    holds the certificate's coordinates, reached at each of the conorm's
+    idempotents: they approach the t-norm's discontinuity curves from
+    below, which no step function does."""
     from .ramps import PLDDF
 
     return [
         PLDDF(((ExtRat(a), UnitRat(p), UnitRat(p)),))
         for a in sorted(_caps(l) or {Fraction(1)})
         for p in sorted(_probe_levels(t))
-        if p > 0
     ]
 
 

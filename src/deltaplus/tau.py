@@ -26,7 +26,7 @@ grid, takes L at every lower corner once, and returns the regularized
 operation, a raw evaluator for every x and the probe abscissae, all read
 from that one corner matrix.  :func:`tau_raw_at` reads the same grid and
 corner matrix but builds no probes; :func:`probe_abscissae` reads the
-same corner matrix.  :func:`tau` walks only the staircase: for a
+same corner images.  :func:`tau` walks only the staircase: for a
 monotone T the values and corner images rise along every row of the
 grid, so a merge of the rows by corner image that keeps the running
 maximum visits only cells that can still raise it, and its cost follows
@@ -44,7 +44,7 @@ from the axes alone.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -187,13 +187,22 @@ def _corner_matrix(l: TConormDesc, f: DDF, g: DDF) -> list[list[ExtRat]]:
     return [[l(a, b) for b in cuts_g] for a in cuts_f]
 
 
-def _finite_images(corners: list[list[ExtRat]]) -> set[ExtRat]:
-    return {c for row in corners for c in row if not c.is_infinite}
+def _finite_images(
+    l: TConormDesc, f: DDF, g: DDF, corners: list[list[ExtRat]] | None = None
+) -> Iterator[Fraction]:
+    # Under the drastic conorm a corner's image is finite only on the axes,
+    # where it is the other coordinate: the operands' cuts, and 0, which every
+    # probe set holds.  So no L call is needed.
+    if l.name == "drastic":
+        return (x.finite for h in (f, g) for x, _ in h.jumps)
+    if corners is None:
+        corners = _corner_matrix(l, f, g)
+    return (c.finite for row in corners for c in row if not c.is_infinite)
 
 
 def probe_abscissae(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
     """Corner images, midpoints between consecutive ones, and one beyond."""
-    return probe_points(c.finite for c in _finite_images(_corner_matrix(l, f, g)))
+    return probe_points(_finite_images(l, f, g))
 
 
 def tau_raw_at(t: TNormDesc, l: TConormDesc, f: DDF, g: DDF, x: ExtRat) -> UnitRat:
@@ -223,14 +232,11 @@ def closure_profile(
     """
     _require_supported(l)
     if l.name == "drastic":
-        # No cell reaches a finite level, and a corner's image is finite only
-        # on the axes, where it is the other coordinate: the operands' cuts.
-        cuts = (x.finite for h in (f, g) for x, _ in h.jumps)
-        return EPS_INF, _drastic_raw(t, f, g), probe_points(cuts)
+        # No cell reaches a finite level.
+        return EPS_INF, _drastic_raw(t, f, g), probe_points(_finite_images(l, f, g))
     corners = _corner_matrix(l, f, g)
     jumps, raw_at = _grid_profile(t, l, f, g, corners)
-    probes = probe_points(c.finite for c in _finite_images(corners))
-    return canonicalize(jumps), raw_at, probes
+    return canonicalize(jumps), raw_at, probe_points(_finite_images(l, f, g, corners))
 
 
 def _grid_profile(

@@ -67,12 +67,14 @@ class TNormDesc:
     ``declared`` may be None for a black-box operation; such descriptors
     can be checked but not classified.  ``fn`` is continuous off
     ``curves``; ``branch`` is required whenever ``curves`` is not empty and
-    equals ``fn`` off them.  The continuity checkers refuse an entry with
-    neither curves nor declared continuity, and read ``branch`` at the
-    ``certificate``: each curve's cuts by a = 0, b = 0, ``FORMULA_LINES`` and
-    the other curves, and each piece's midpoint.  They trust T to be monotone
-    and each ``branch`` formula to be linear on a piece, so t(x, y) minus a
-    limit, >= 0 and linear there, is zero at the midpoint iff on the piece.
+    equals ``fn`` off them.  The ``certificate`` is the one point set derived
+    from the curves: each curve's cuts by a = 0, b = 0, ``FORMULA_LINES`` and
+    the other curves, and each piece's midpoint.  The continuity checkers
+    refuse an entry with neither curves nor declared continuity, and read
+    ``branch`` there.  They trust T to be monotone and each ``branch``
+    formula to be linear on a piece, so t(x, y) minus a limit, >= 0 and
+    linear there, is zero at the midpoint iff on the piece.  The miner takes
+    its seed levels from the certificate's coordinates.
     """
 
     name: str
@@ -104,20 +106,6 @@ class TNormDesc:
                 keyed.append((max(s.denominator, 2), s, index, _on_curve(curve, s)))
         points = dict.fromkeys(p for *_, p in sorted(keyed) if all(0 < q <= 1 for q in p))
         return tuple((UnitRat(x), UnitRat(y)) for x, y in points)
-
-    @cached_property
-    def boundary_probes(self) -> tuple[tuple[UnitRat, UnitRat], ...]:
-        """The miner's level source: points on the curves inside ]0, 1]², at
-        the free coordinate num/den for den in 2, 3, 4, 8, 16, curve by curve."""
-        points = []
-        for den in (2, 3, 4, 8, 16):
-            for num in range(1, den + 1):
-                s = Fraction(num, den)
-                for curve in self.curves:
-                    x, y = _on_curve(curve, s)
-                    if 0 < x <= 1 and 0 < y <= 1:
-                        points.append((UnitRat(x), UnitRat(y)))
-        return tuple(points)
 
 
 def _minimum(x: UnitRat, y: UnitRat) -> UnitRat:

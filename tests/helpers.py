@@ -2,7 +2,7 @@
 
 from deltaplus.ddf import DDF
 from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext_cmp
-from deltaplus.tau import _corner_matrix, _finite_images
+from deltaplus.tau import _corner_matrix
 from deltaplus.tconorms import TConormDesc, _equal_corners
 from deltaplus.verdicts import Verdict
 
@@ -32,4 +32,4 @@ def corner_images(l: TConormDesc, f: DDF, g: DDF) -> list[ExtRat]:
     Every cut list starts at 0, so under the drastic conorm these are the
     cuts of both operands.
     """
-    return sorted(_finite_images(_corner_matrix(l, f, g)), key=lambda e: e.finite)
+    return sorted({c for row in _corner_matrix(l, f, g) for c in row if not c.is_infinite})

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -9,8 +10,9 @@ from deltaplus.lawcheck import (
     LAWS,
     RandomDDFConfig,
     _case,
-    _random_ddf,
     _mining_cases,
+    _probe_levels,
+    _random_ddf,
     check_law,
     mine_counterexample,
     random_ddf,
@@ -20,7 +22,7 @@ from deltaplus.lawcheck import (
 from deltaplus.ramps import PLDDF
 from deltaplus.rationals import UnitRat
 from deltaplus.tconorms import catalog_tconorm_spec
-from deltaplus.tnorms import TNormDesc, catalog_tnorm
+from deltaplus.tnorms import TNORM_NAMES, TNormDesc, catalog_tnorm
 
 CFG = RandomDDFConfig(max_jumps=4, abscissa_pool=8, value_pool=8)
 SEED = 7
@@ -147,6 +149,38 @@ def test_miner_runs_cheap_laws_then_ramps_then_associativity_then_drift():
     assert laws(ramp_pairs) == {"closure"} and carriers(ramp_pairs) == {PLDDF}
     assert laws(assoc) == {"associativity"} and carriers(assoc) == {DDF}
     assert [law for (law, _), in drift] == list(LAWS)
+
+
+QUARTERS = {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)}
+
+
+@pytest.mark.parametrize("name", TNORM_NAMES)
+def test_catalog_probe_levels_are_the_quarter_levels(name):
+    # Every catalog certificate coordinate is already a quarter level.
+    assert _probe_levels(catalog_tnorm(name)) == QUARTERS
+
+
+def test_probe_levels_hold_the_certificate_coordinates():
+    # The curve 3a + 3b = 4 runs from (1/3, 1) to (1, 1/3); its certificate
+    # is those ends, its cut (2/3, 2/3) by a = b and the midpoints between.
+    def thirds(x, y):
+        return min(x, y) if 3 * (x.value + y.value) > 4 else UnitRat(0)
+
+    t = TNormDesc("thirds", thirds, None, curves=((3, 3, 4),), branch=catalog_tnorm("nM").branch)
+    coordinates = {c.value for point in t.certificate for c in point}
+    assert coordinates == {Fraction(k, 6) for k in (2, 3, 4, 5, 6)}
+    assert _probe_levels(t) == QUARTERS | coordinates
+
+
+@pytest.mark.parametrize("name", TNORM_NAMES)
+def test_every_tnorm_under_max_reaches_associativity_and_drift_at_the_default_budget(name):
+    t, l = _pair(name, "max")
+    laws = [checks[0][0] for checks in islice(_mining_cases(t, l, CFG, random.Random(SEED)), 1000)]
+    first = laws.index("associativity")
+    # Drift starts at the first case past the associativity phase, with the
+    # law rotation from its start.
+    drift = next(k for k in range(first, len(laws)) if laws[k] != "associativity")
+    assert laws[drift:drift + len(LAWS)] == list(LAWS)
 
 
 def test_fail_reports_replay_byte_identically():
@@ -320,12 +354,12 @@ witness law=commutativity x=3/8 lhs=2/7 rhs=5/28 detail=tau(f,g) vs tau(g,f)
 operand slot=0 ddf=DDF v1\njump 0 5/8\njump 8/7 6/7\n
 operand slot=1 ddf=DDF v1\njump 0 1/6\njump 1/4 2/7\njump 1/2 1/2\njump 1 2/3\njump 9/8 3/4\njump 2 4/5\njump 9/4 6/7\njump 4 1\n
 """,
-    # Ramp pairs, right after the 484 cheap-law step cases: a closure
+    # Ramp pairs, right after the 400 cheap-law step cases: a closure
     # witness with its split and v2 operands.
     ("mine", "D", "max", "all"): r"""
-report tnorm=D tconorm=max law=closure verdict=fail cases=502 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
-witness law=closure x=1 lhs=0 rhs=1/16 u=1 v=1 detail=regularized vs raw value
-operand slot=0 ddf=DDF v2\nramp 0 1 1/16\n
+report tnorm=D tconorm=max law=closure verdict=fail cases=404 budget=2000 seed=42 max_jumps=4 abscissa_pool=8 value_pool=8
+witness law=closure x=1 lhs=0 rhs=1/4 u=1 v=1 detail=regularized vs raw value
+operand slot=0 ddf=DDF v2\nramp 0 1 1/4\n
 operand slot=1 ddf=DDF v2\nramp 0 1 1\n
 """,
 }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltaplus.ddf import DDF, EPS_INF, canonicalize, leq, make_epsilon, make_v
+from deltaplus.ddf import DDF, EPS_INF, canonicalize, leq, make_epsilon, make_v, probe_points
 from deltaplus.lawcheck import RandomDDFConfig, _random_ddf, _structured_candidates
 from deltaplus.rationals import EXT_INF, EXT_ZERO, UNIT_ONE, UNIT_ZERO, UnitRat, ext, unit
 from deltaplus.tau import (
@@ -402,7 +402,7 @@ def test_drastic_raw_evaluation_takes_no_conorm(monkeypatch):
     rng = random.Random(SEED)
     M, drastic = catalog_tnorm("M"), catalog_tconorm("drastic")
     f, g = TWO_STEP, _steps(rng, 6)
-    probes = probe_abscissae(drastic, f, g)
+    images = probe_points(c.finite for c in corner_images(drastic, f, g))
     calls = []
     call = TConormDesc.__call__
 
@@ -411,10 +411,12 @@ def test_drastic_raw_evaluation_takes_no_conorm(monkeypatch):
         return call(self, u, v)
 
     monkeypatch.setattr(TConormDesc, "__call__", counted)
+    probes = probe_abscissae(drastic, f, g)
     raw = tau_raw_at(M, drastic, f, g, ext(3))
     regularized, raw_at, profile_probes = closure_profile(M, drastic, f, g)
     values = [raw_at(x) for x in profile_probes]
     assert calls == []
+    assert probes == images
     assert raw == _reference_raw_at(M, drastic, f, g, ext(3))
     assert (regularized, profile_probes) == (EPS_INF, probes)
     assert values == [_reference_raw_at(M, drastic, f, g, x) for x in probes]

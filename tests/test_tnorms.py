@@ -258,11 +258,23 @@ def _positive_unit(rng: random.Random, max_den: int = 64) -> UnitRat:
     return UnitRat(Fraction(rng.randint(1, den), den))
 
 
+def _curve_points(t: TNormDesc):
+    # The points of ]0, 1]² on each curve at the free coordinate num/den,
+    # den in 2, 3, 4, 8, 16: a, or b on a curve with beta = 0.
+    for den in (2, 3, 4, 8, 16):
+        for num in range(1, den + 1):
+            s = Fraction(num, den)
+            for alpha, beta, gamma in t.curves:
+                x, y = (s, (gamma - alpha * s) / beta) if beta else (Fraction(gamma, alpha), s)
+                if 0 < x <= 1 and 0 < y <= 1:
+                    yield UnitRat(x), UnitRat(y)
+
+
 def _reference_points(t: TNormDesc, seed: int, budget: int = 400):
-    # The certificate, the miner's boundary probes, and seeded points of
-    # ]0, 1]², so that the reference also checks the exact rule off them.
+    # The certificate, points on the curves, and seeded points of ]0, 1]²,
+    # so that the reference also checks the exact rule off them.
     rng = random.Random(seed)
-    points = list(t.certificate) + list(t.boundary_probes)
+    points = list(t.certificate) + list(_curve_points(t))
     for _ in range(budget):
         x = _positive_unit(rng)
         points.append((x, _positive_unit(rng)))
@@ -328,45 +340,6 @@ def test_a_degenerate_curve_is_refused():
     nM = catalog_tnorm("nM")
     with pytest.raises(ValueError, match="flat.*degenerate"):
         TNormDesc("flat", nM.fn, None, curves=(ANTIDIAGONAL, (0, 0, 1)), branch=nM.branch)
-
-
-# The hand-written probe tuples the catalog carried before they were
-# derived from the curves, kept verbatim as the reference.
-def _antidiagonal_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
-    # Exact points on the curve x + y = 1, the discontinuity locus of the
-    # two nilpotent-minimum variants; includes (1/2, 1/2).
-    points = []
-    for den in (2, 3, 4, 8, 16):
-        for num in range(1, den):
-            x = Fraction(num, den)
-            points.append((UnitRat(x), UnitRat(1 - x)))
-    return tuple(points)
-
-
-def _edge_probes() -> tuple[tuple[UnitRat, UnitRat], ...]:
-    # Exact points on the curves x = 1 and y = 1 where the drastic product
-    # drops to zero.
-    points = []
-    for den in (2, 3, 4, 8):
-        for num in range(1, den + 1):
-            t = UnitRat(Fraction(num, den))
-            points.append((UNIT_ONE, t))
-            points.append((t, UNIT_ONE))
-    return tuple(points)
-
-
-def test_derived_probes_match_the_hand_written_ones():
-    assert catalog_tnorm("nM").boundary_probes == _antidiagonal_probes()
-    assert catalog_tnorm("nM_hat").boundary_probes == _antidiagonal_probes()
-    drastic = catalog_tnorm("D").boundary_probes
-    assert drastic[:34] == _edge_probes()
-    # The rest are the den-16 points on the two edges.
-    assert len(drastic) == 66
-    assert set(drastic[34:]) == {
-        p for k in range(1, 17) for p in ((UNIT_ONE, unit(k, 16)), (unit(k, 16), UNIT_ONE))
-    }
-    for name in ("M", "Pi", "W"):
-        assert catalog_tnorm(name).boundary_probes == ()
 
 
 def test_probes_come_from_the_curves_alone():
