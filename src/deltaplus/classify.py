@@ -13,9 +13,11 @@ failure), the declared flag when no finite check can decide (full
 continuity of the conorm), or a vacuity marker.  Checker results are
 cross-validated against the declared metadata; a mismatch raises instead
 of silently preferring either side, and an operation without declared
-metadata is refused outright.  Condition (c) is decided exactly at the
-t-norm's finite certificate; ``M``, ``Pi`` and ``W`` pass on their
-declared continuity, as ``a_continuity`` does.
+metadata is refused outright.  The conorm's conditional strictness and
+Archimedean-ness are decided exactly at its finite certificate, and
+condition (c) at the t-norm's; ``M``, ``Pi`` and ``W`` pass on their
+declared continuity, as ``a_continuity`` does.  Only the two axiom checks
+sample.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def classify(
     t: TNormDesc, l: TConormDesc, budget: int = 400, seed: int = 0
 ) -> Classification:
     """Classify a pair with verified metadata.  ``budget`` and ``seed`` drive
-    the randomized conorm and t-norm axiom checks; (c)'s continuity is exact."""
+    only the randomized conorm and t-norm axiom checks; (a)'s strictness
+    and Archimedean-ness and (c)'s continuity are decided at certificates."""
     if t.declared is None or l.declared is None:
         raise UnverifiedMetadataError(
             "run checks first: classification needs declared-and-verified"
@@ -106,7 +109,7 @@ def classify(
     d = t.declared
     checked = (
         ("a_tconorm", l.declared.is_tconorm, check_tconorm_axioms(l, budget, seed)),
-        ("a_LCS", l.declared.satisfies_lcs, check_LCS(l, budget, seed)),
+        ("a_LCS", l.declared.satisfies_lcs, check_LCS(l)),
         (
             "b_tnorm",
             d.is_commutative and d.is_associative and d.has_one_identity and d.is_monotone,
@@ -118,7 +121,7 @@ def classify(
         _cross_check(tag, declared, verdict)
         evidence.append(ConditionEvidence(tag, verdict.passed, "checker", verdict))
 
-    archimedean = is_archimedean(l, budget, seed)
+    archimedean = is_archimedean(l)
     _cross_check("is_archimedean", l.declared.is_archimedean, archimedean)
     if archimedean.passed:
         evidence.append(

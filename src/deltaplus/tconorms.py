@@ -2,8 +2,8 @@
 
 Entries carry exact rational evaluators plus declared structure: t-conorm
 axioms, continuity, joint strict monotonicity (unconditional and the
-variant conditioned on a finite result), and Archimedean-ness, together
-with hints at known idempotent elements.
+variant conditioned on a finite result) and Archimedean-ness, with hints
+at known idempotent elements and a finite certificate for condition (a).
 
 A continuous t-conorm is an ordinal sum of continuous Archimedean
 summands (Ling 1965).  Every continuous entry but ``max`` is one summand
@@ -23,8 +23,13 @@ Each generator is a rational Moebius map, so every value is exact.  From
 (end, phi, phi^-1) :func:`_ordinal_sum` derives the evaluator, the
 level-set solver phi^-1(phi(x) - phi(u)) (a summand on all of
 [0,infinity]), the plateau predicate (a finite summand with finite
-phi(end)), the idempotent hints end and end + 1, and the declared traits.
-``max`` and the discontinuous ``drastic`` are written out directly.
+phi(end)), the idempotent hints end and end + 1, the declared traits and
+the certificate: the plateau quadruple (m, m, end, end) with
+phi(m) = phi(end)/2 where phi(end) is finite, and one strict quadruple
+per region.  ``max`` and the discontinuous ``drastic`` are written out
+directly.  Conditional strictness and Archimedean-ness are decided at the
+certificate, with no random point (see :class:`TConormDesc`); only the
+axioms, which have no finite certificate, are sampled.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .rationals import (
 from .verdicts import CatalogError, Verdict, Witness2D, check_axioms
 
 TConormFn = Callable[[ExtRat, ExtRat], ExtRat]
+# (u, v, u', v') with u < u' and v < v': a joint-strictness probe.
+Quadruple = tuple[ExtRat, ExtRat, ExtRat, ExtRat]
 
 
 def squash(t: ExtRat) -> Fraction:
@@ -61,8 +68,6 @@ def unsquash(s: Fraction) -> ExtRat:
 class TConormTraits:
     is_tconorm: bool
     is_continuous: bool
-    # Continuity away from (0,inf) and (inf,0); weaker than is_continuous.
-    is_continuous_off_corners: bool
     satisfies_ls: bool
     satisfies_lcs: bool
     is_archimedean: bool
@@ -83,7 +88,19 @@ class LCSWitness:
 
 @dataclass(frozen=True)
 class TConormDesc:
-    """A named operation on [0,inf] with declared, verifiable structure."""
+    """A named operation on [0,inf] with declared, verifiable structure.
+
+    The ``certificate`` is the finite set of quadruples (u, v, u', v'),
+    u < u' and v < v', at which :func:`check_LCS` decides joint strictness;
+    its finite positive coordinates, after ``idempotent_hints``, are where
+    :func:`is_archimedean` looks for an interior idempotent.  The checkers
+    refuse an empty certificate.  They trust each region of L (a summand,
+    the maximum above it; for ``drastic`` the axes and the plateau off
+    them) to be one continuous formula, strictly increasing wherever its
+    generator is.  Then joint strictness fails exactly on a plateau, so one
+    quadruple on each plateau, and one per strict region as a check of
+    ``fn``, decide (LCS).
+    """
 
     name: str
     fn: TConormFn
@@ -95,6 +112,7 @@ class TConormDesc:
     cell_inf_attained: Callable[[ExtRat, ExtRat, ExtRat, ExtRat], bool] | None = None
     # Exact solver for L(u, v) = x given u, where defined (Archimedean entries).
     solve_second: Callable[[ExtRat, ExtRat], ExtRat] | None = None
+    certificate: tuple[Quadruple, ...] = ()
 
     def __call__(self, u: ExtRat, v: ExtRat) -> ExtRat:
         return self.fn(u, v)
@@ -124,9 +142,14 @@ def _ordinal_sum(
     # Archimedean iff no max part sits above the summand (end = inf); strict
     # iff it has no plateau (phi(end) infinite); conditionally strict also
     # when its only plateau is at L = inf.
-    traits = TConormTraits(
-        True, True, True, top is None, top is None or end.is_infinite, end.is_infinite
-    )
+    traits = TConormTraits(True, True, top is None, top is None or end.is_infinite, end.is_infinite)
+    # The plateau quadruple, L(m, m) = L(end, end) = end, where phi(end) is
+    # finite; then one strict quadruple in the summand, below any plateau.
+    inner = inv(top / 4 if top is not None else Fraction(1))
+    certificate = ((EXT_ZERO, EXT_ZERO, inner, inner),)
+    if top is not None:
+        middle = inv(top / 2)
+        certificate = ((middle, middle, end, end),) + certificate
 
     def summand(u: ExtRat, v: ExtRat) -> ExtRat:
         s, t = phi(u), phi(v)
@@ -144,7 +167,9 @@ def _ordinal_sum(
                 raise ValueError("no solution: first argument exceeds target")
             return inv(s - t)
 
-        return TConormDesc(name, summand, traits, solve_second=solve_second)
+        return TConormDesc(
+            name, summand, traits, solve_second=solve_second, certificate=certificate
+        )
 
     def fn(u: ExtRat, v: ExtRat) -> ExtRat:
         hi = ext_max(u, v)
@@ -156,9 +181,11 @@ def _ordinal_sum(
         # with room to move in both coordinates.
         return a < end and b < end and phi(a) + phi(b) >= top
 
+    above = end + ext(1)  # and one strict quadruple in the max part
     return TConormDesc(
-        name, fn, traits, param=end.finite, idempotent_hints=(end, end + ext(1)),
+        name, fn, traits, param=end.finite, idempotent_hints=(end, above),
         cell_inf_attained=None if top is None else attained,
+        certificate=certificate + ((above, above, above + ext(1), above + ext(1)),),
     )
 
 
@@ -167,11 +194,16 @@ _identity = attrgetter("finite")
 
 _FIXED_CATALOG: dict[str, TConormDesc] = {
     "max": TConormDesc(
-        "max", ext_max, TConormTraits(True, True, True, True, True, False), None, (ext(1), ext(2))
+        "max", ext_max, TConormTraits(True, True, True, True, False), None, (ext(1), ext(2)),
+        certificate=((ext(1), ext(1), ext(2), ext(2)),),
     ),
     "plus": _ordinal_sum("plus", EXT_INF, _identity, ExtRat),
     "nilpotent_rat": _ordinal_sum("nilpotent_rat", EXT_INF, squash, unsquash),
-    "drastic": TConormDesc("drastic", _drastic, TConormTraits(True, False, False, False, True, True)),
+    # Off the axes drastic is the plateau L = inf; on them it is max.
+    "drastic": TConormDesc(
+        "drastic", _drastic, TConormTraits(True, False, False, True, True),
+        certificate=((EXT_ZERO, EXT_ZERO, ext(1), ext(1)), (ext(1), ext(1), ext(2), ext(2))),
+    ),
 }
 
 # The ordinal-sum families, one entry per positive rational parameter p.
@@ -250,79 +282,41 @@ def check_tconorm_axioms(l: TConormDesc, budget: int, seed: int) -> Verdict:
     return check_axioms(l, lambda rng: _random_ext(rng, pool), EXT_ZERO, budget, seed)
 
 
-def _strictness_quadruples(l: TConormDesc, rng: random.Random, budget: int):
-    # Targeted quadruples around caps and idempotents first, then random.
-    if l.param is not None:
-        p = l.param
-        yield (ExtRat(3 * p / 4), ExtRat(9 * p / 10),
-               ExtRat(19 * p / 20), ExtRat(19 * p / 20))
-    for hint in l.idempotent_hints:
-        if not hint.is_infinite and hint.finite > 0:
-            h = hint.finite
-            yield (ExtRat(h / 2), ExtRat(3 * h / 4), ExtRat(h), ExtRat(h))
-            yield (ExtRat(h), ExtRat(h / 2), ExtRat(2 * h), ExtRat(h))
-    pool = _sample_pool(l)
-    for _ in range(budget):
-        a, b = _random_ext(rng, pool), _random_ext(rng, pool)
-        c, d = _random_ext(rng, pool), _random_ext(rng, pool)
-        u, u_hi = (a, b) if a < b else (b, a)
-        v, v_hi = (c, d) if c < d else (d, c)
-        if u < u_hi and v < v_hi:
-            yield (u, v, u_hi, v_hi)
+def _certificate(l: TConormDesc) -> tuple[Quadruple, ...]:
+    if not l.certificate:
+        raise ValueError(f"t-conorm {l.name!r} declares no certificate")
+    return l.certificate
 
 
-def _equal_corners(l: TConormDesc, budget: int, seed: int, finite_only: bool) -> Verdict:
-    rng = random.Random(seed)
-    cases = 0
-    for u, v, u_hi, v_hi in _strictness_quadruples(l, rng, budget):
-        cases += 1
+def _equal_corners(l: TConormDesc, finite_only: bool) -> Verdict:
+    for cases, (u, v, u_hi, v_hi) in enumerate(_certificate(l), 1):
         hi = l(u_hi, v_hi)
         if finite_only and hi.is_infinite:
             continue
         lo = l(u, v)
         if lo == hi:
             return Verdict(False, cases, LCSWitness(u, u_hi, v, v_hi, lo, hi))
-    return Verdict(True, cases)
+    return Verdict(True, len(l.certificate))
 
 
-def check_LCS(l: TConormDesc, budget: int, seed: int) -> Verdict:
-    """Search for u<u', v<v' with L(u',v') finite and L(u,v) = L(u',v')."""
-    return _equal_corners(l, budget, seed, finite_only=True)
+def check_LCS(l: TConormDesc) -> Verdict:
+    """Decide conditional strictness at the certificate: fail on the first
+    quadruple u<u', v<v' with L(u',v') finite and L(u,v) = L(u',v')."""
+    return _equal_corners(l, finite_only=True)
 
 
-def is_archimedean(l: TConormDesc, budget: int, seed: int) -> Verdict:
+def is_archimedean(l: TConormDesc) -> Verdict:
     """Pass means Archimedean.  A Fail verdict carries an interior
     idempotent element as its witness.
 
-    Sampled and hinted interior points are screened for idempotency; the
-    supporting power test then iterates diagonal powers of small elements
-    until they overtake larger samples.
+    The candidates are the idempotent hints, then the certificate's finite
+    positive coordinates; a pass has evaluated at least one of them.
     """
-    rng = random.Random(seed)
-    pool = _sample_pool(l)
-    cases = 0
-    probes = [h for h in l.idempotent_hints]
-    probes.extend(_random_ext(rng, pool) for _ in range(budget))
-    for x in probes:
-        if x == EXT_ZERO or x.is_infinite:
-            continue
-        cases += 1
+    points = (*l.idempotent_hints, *(x for quad in _certificate(l) for x in quad))
+    candidates = dict.fromkeys(x for x in points if x != EXT_ZERO and not x.is_infinite)
+    if not candidates:
+        raise ValueError(f"t-conorm {l.name!r} has no interior point to certify")
+    for cases, x in enumerate(candidates, 1):
         if l(x, x) == x:
             return Verdict(False, cases, Witness2D((x, x), "interior idempotent"))
-    power_pairs = max(1, budget // 64)
-    for _ in range(power_pairs):
-        y = _random_ext(rng, pool)
-        x = _random_ext(rng, pool)
-        if y == EXT_ZERO or y.is_infinite or x.is_infinite or not y < x:
-            continue
-        cases += 1
-        power = y
-        for _ in range(min(budget, 4096)):
-            power = l(power, y)
-            if x < power:
-                break
-        else:
-            return Verdict(
-                False, cases, Witness2D((y, x), "diagonal powers stalled below sample")
-            )
-    return Verdict(True, cases)
+    return Verdict(True, len(candidates))

@@ -11,9 +11,10 @@ def ext_min(a: ExtRat, b: ExtRat) -> ExtRat:
     return a if ext_cmp(a, b) <= 0 else b
 
 
-def check_LS(l: TConormDesc, budget: int, seed: int) -> Verdict:
-    """Search for u<u', v<v' with L(u,v) = L(u',v') (finite or not)."""
-    return _equal_corners(l, budget, seed, finite_only=False)
+def check_LS(l: TConormDesc) -> Verdict:
+    """Decide strictness at the certificate: fail on the first quadruple
+    u<u', v<v' with L(u,v) = L(u',v'), finite or not."""
+    return _equal_corners(l, finite_only=False)
 
 
 def idempotents(l: TConormDesc, grid: set[ExtRat] | frozenset[ExtRat]) -> set[ExtRat]:

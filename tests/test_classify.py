@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from deltaplus.classify import (
     CONDITION_TAGS,
     Classification,
+    MetadataMismatchError,
     UnverifiedMetadataError,
     classify,
 )
@@ -93,3 +96,10 @@ def test_unverified_metadata_is_refused():
     blackbox_l = TConormDesc("mystery", lambda u, v: u, declared=None)
     with pytest.raises(UnverifiedMetadataError, match="run checks first"):
         classify(catalog_tnorm("M"), blackbox_l)
+
+
+def test_plateau_declared_strict_is_a_mismatch():
+    truncated = catalog_tconorm_spec("osum_trunc:2")
+    claims_lcs = replace(truncated.declared, satisfies_lcs=True)
+    with pytest.raises(MetadataMismatchError, match="a_LCS"):
+        classify(catalog_tnorm("M"), replace(truncated, declared=claims_lcs))

@@ -7,6 +7,7 @@ import pytest
 from deltaplus.rationals import EXT_INF, EXT_ZERO, ExtRat, ext, ext_add, ext_max
 from deltaplus.tconorms import (
     CatalogError,
+    TConormDesc,
     TConormTraits,
     _sample_pool,
     catalog_tconorm,
@@ -105,16 +106,39 @@ def test_osum_strict_blocks():
 
 
 def test_lcs_witness_for_truncated_ordinal_sum():
-    verdict = check_LCS(catalog_tconorm("osum_trunc", 2), BUDGET, SEED)
+    verdict = check_LCS(catalog_tconorm("osum_trunc", 2))
     assert not verdict.passed
     w = verdict.witness
-    assert (w.u, w.v) == (ext(Fraction(3, 2)), ext(Fraction(9, 5)))
-    assert w.u_hi == w.v_hi == ext(Fraction(19, 10))
+    assert (w.u, w.v) == (ext(1), ext(1))
+    assert w.u_hi == w.v_hi == ext(2)
     assert w.value_lo == w.value_hi == ext(2)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_certificate_quadruples_are_ordered(spec):
+    certificate = catalog_tconorm_spec(spec).certificate
+    assert certificate
+    for u, v, u_hi, v_hi in certificate:
+        assert u < u_hi and v < v_hi
+
+
+def test_empty_certificate_is_refused():
+    l = TConormDesc("bare", ext_max, catalog_tconorm("max").declared, None, (ext(1),))
+    with pytest.raises(ValueError, match="no certificate"):
+        check_LCS(l)
+    with pytest.raises(ValueError, match="no certificate"):
+        is_archimedean(l)
+
+
+def test_archimedean_check_refuses_a_certificate_without_interior_points():
+    corners = ((EXT_ZERO, EXT_ZERO, EXT_INF, EXT_INF),)
+    l = TConormDesc("bare", ext_add, catalog_tconorm("plus").declared, certificate=corners)
+    with pytest.raises(ValueError, match="no interior point"):
+        is_archimedean(l)
+
+
 def test_ls_failure_for_nilpotent_has_infinite_values():
-    verdict = check_LS(catalog_tconorm("nilpotent_rat"), BUDGET, SEED)
+    verdict = check_LS(catalog_tconorm("nilpotent_rat"))
     assert not verdict.passed
     assert verdict.witness.value_lo == EXT_INF
     assert verdict.witness.value_hi == EXT_INF
@@ -133,8 +157,8 @@ def test_ls_failure_for_nilpotent_has_infinite_values():
 )
 def test_strictness_classification(spec, ls, lcs):
     l = catalog_tconorm_spec(spec)
-    assert check_LS(l, BUDGET, SEED).passed == ls
-    assert check_LCS(l, BUDGET, SEED).passed == lcs
+    assert check_LS(l).passed == ls
+    assert check_LCS(l).passed == lcs
     assert l.declared.satisfies_ls == ls
     assert l.declared.satisfies_lcs == lcs
 
@@ -142,8 +166,8 @@ def test_strictness_classification(spec, ls, lcs):
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_ls_implies_lcs(spec):
     l = catalog_tconorm_spec(spec)
-    if check_LS(l, BUDGET, SEED).passed:
-        assert check_LCS(l, BUDGET, SEED).passed
+    if check_LS(l).passed:
+        assert check_LCS(l).passed
 
 
 def test_idempotent_examples():
@@ -170,7 +194,7 @@ def test_idempotent_examples():
     ],
 )
 def test_archimedean_classification(spec, archimedean, witness):
-    verdict = is_archimedean(catalog_tconorm_spec(spec), BUDGET, SEED)
+    verdict = is_archimedean(catalog_tconorm_spec(spec))
     assert verdict.passed == archimedean
     if witness is not None:
         assert verdict.witness.point[0] == witness
@@ -193,7 +217,6 @@ def test_drastic_is_discontinuous_off_corners():
         assert dr(ext(Fraction(1, k)), ext(1)) == EXT_INF
     assert dr(EXT_ZERO, ext(1)) == ext(1)
     assert not dr.declared.is_continuous
-    assert not dr.declared.is_continuous_off_corners
 
 
 def test_idempotent_hints_are_sound():
@@ -318,10 +341,10 @@ def test_generated_summand_matches_the_hand_written_formulas(spec):
 # The traits the catalog declared by hand before _ordinal_sum derived them,
 # kept verbatim.
 _REFERENCE_TRAITS = {
-    "plus": TConormTraits(True, True, True, True, True, True),
-    "nilpotent_rat": TConormTraits(True, True, True, False, True, True),
-    "osum_trunc": TConormTraits(True, True, True, False, False, False),
-    "osum_strict": TConormTraits(True, True, True, True, True, False),
+    "plus": TConormTraits(True, True, True, True, True),
+    "nilpotent_rat": TConormTraits(True, True, False, True, True),
+    "osum_trunc": TConormTraits(True, True, False, False, False),
+    "osum_strict": TConormTraits(True, True, True, True, False),
 }
 
 TRAIT_SPECS = ["plus", "nilpotent_rat"] + [
